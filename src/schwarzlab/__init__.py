@@ -21,7 +21,9 @@ from .el_ode import Trajectory, integrate, invariant_drift, trajectory_csv, writ
 from .errors import (
     EvalDomainError,
     InfeasibleVariationError,
+    IntegrationError,
     ParseError,
+    QuadratureError,
     SchwarzLabError,
     SeriesMismatchError,
     SingularJetError,

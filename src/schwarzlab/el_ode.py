@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from scipy.integrate import solve_ivp
 
-from .errors import SingularJetError
+from .errors import IntegrationError, SingularJetError
 from .schwarzian import Jet4, mercator_c, schwarzian
 
 SINGULARITY_FLOOR = 1e-8
@@ -86,7 +86,7 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         dense_output=True,
     )
     if sol.status < 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
     status = STATUS_STOPPED if sol.status == 1 else STATUS_COMPLETED
     ts, ys = sol.t, sol.y
     if ts[0] > ts[-1]:

@@ -35,3 +35,16 @@ class SingularTimeError(SchwarzLabError):
 class InfeasibleVariationError(SchwarzLabError):
     """The endpoint functional is insensitive to the glue coefficient, so the
     admissible-variation correction cannot be solved for."""
+
+
+class QuadratureError(SchwarzLabError):
+    """An adaptive quadrature did not reach its tolerance; carries the
+    solver's error estimate."""
+
+    def __init__(self, message: str, abserr: float):
+        super().__init__(f"{message} (abserr {abserr:.3e})")
+        self.abserr = abserr
+
+
+class IntegrationError(SchwarzLabError):
+    """The ODE solver failed before reaching the end of the interval."""

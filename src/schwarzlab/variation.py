@@ -12,16 +12,18 @@ second-order endpoint condition, and the resulting critical-point test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .closed_form import MobiusFamily, family_fourth, family_series
 from .el_ode import Trajectory
-from .errors import InfeasibleVariationError, SingularJetError
+from .errors import InfeasibleVariationError, QuadratureError, SingularJetError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian, schwarzian
 from .symbolics import Expr, TaylorScalar, parse, taylor_eval, variables_of
 
@@ -30,11 +32,21 @@ CURVE_P_FLOOR = 1e-8
 
 FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 
+# DuSolution's Chebyshev panels: CHEB_N nodes each; a panel is bisected until its
+# two trailing coefficients are <= CHEB_TAIL * the largest initial coefficient
+CHEB_N = 20
+CHEB_TAIL = 1e-13
+CHEB_MAX_PANELS = 500
+
 
 def _quad(fn, a, b, breakpoints=()):
     pts = sorted({float(x) for x in breakpoints if a < x < b})
     out = quad(fn, a, b, points=pts or None, epsabs=QUAD_EPS, epsrel=QUAD_EPS,
                limit=500, full_output=1)
+    # full_output suppresses scipy's warning; a 4th element is its message
+    if len(out) >= 4:
+        message = " ".join(out[3].split())
+        raise QuadratureError(f"quadrature over [{a:g}, {b:g}] did not converge: {message}", out[1])
     return out[0]
 
 
@@ -277,10 +289,13 @@ class LinearCombination(VariationFn):
 class DuSolution(VariationFn):
     """Integrating-factor solution of D_u(v) = phi:
 
-        v(t) = u'(t) * (v0 / u'(t0) + int_t0^t phi/u' dtau)
+        v(t) = u'(t) * (k0 + W(t)),   k0 = v0 / u'(t0),   W(t) = int_t0^t phi/u' dtau
 
-    The cumulative integral is solved once as an ODE with dense output, so
-    pointwise evaluation afterwards is cheap.
+    (u' spans the kernel of D_u, and D_u(u' W) = u' W' = phi).  W is the
+    running integral of Chebyshev interpolants of phi/u' on panels split at
+    phi's breakpoints and bisected until resolved.  Since D_u(v) = phi, the
+    Schwarzian form of delta I_S along v integrates S(u) phi/u'; that
+    integral comes from the same panel jets as `schwarzian_integral`.
     """
 
     def __init__(self, u: CurveFn, phi: VariationFn, v0: float, t0: float, t1: float):
@@ -289,32 +304,52 @@ class DuSolution(VariationFn):
         self.t0, self.t1 = float(t0), float(t1)
         self.k0 = float(v0) / u.jet(t0).p
         self.breakpoints = tuple(phi.breakpoints)
-        span = self.t1 - self.t0
-        max_step = span / 8.0
-        support = getattr(phi, "support", None)
-        if support is not None:
-            max_step = min(max_step, (support[1] - support[0]) / 4.0)
-        # DOP853 for its high-order dense output; the errstate guard mutes a
-        # harmless 0/0 inside scipy's dual error estimator on the stretches
-        # where phi is identically zero
-        with np.errstate(invalid="ignore"):
-            sol = solve_ivp(
-                lambda t, _y: (phi.value(t) / u.jet(t).p,),
-                (self.t0, self.t1),
-                (0.0,),
-                method="DOP853",
-                rtol=1e-12,
-                atol=1e-14,
-                max_step=max_step,
-                dense_output=True,
-            )
-        if sol.status != 0:
-            raise RuntimeError(f"integrating-factor solve failed: {sol.message}")
-        self._dense = sol.sol
+        edges = sorted({self.t0, self.t1}
+                       | {float(x) for x in phi.breakpoints if self.t0 < x < self.t1})
+        # leftmost panel last, so pop() walks the interval from t0 to t1
+        stack = [(a, b, self._interpolate(a, b))
+                 for a, b in reversed(list(zip(edges[:-1], edges[1:])))]
+        scale = max(np.abs(coef).max() for _, _, coef in stack)
+        self._pieces = []
+        total = np.zeros(2)  # running (W, int S phi/u')
+        while stack:
+            a, b, coef = stack.pop()
+            tail = np.abs(coef[-2:]).max()
+            if tail > CHEB_TAIL * scale:
+                if len(self._pieces) + len(stack) >= CHEB_MAX_PANELS:
+                    raise QuadratureError(f"phi/u' not resolved in {CHEB_MAX_PANELS} Chebyshev "
+                                          f"panels near t = {a:g}", abserr=tail * (b - a))
+                m = 0.5 * (a + b)
+                stack += [(m, b, self._interpolate(m, b)), (a, m, self._interpolate(a, m))]
+                continue
+            antideriv = chebint(coef, lbnd=-1.0, scl=0.5 * (b - a))
+            self._pieces.append((a, b, float(total[0]), antideriv[:, 0]))
+            total += antideriv.sum(axis=0)  # T_j(1) = 1
+        self.schwarzian_integral = float(total[1])
+
+    def _interpolate(self, a: float, b: float) -> np.ndarray:
+        """Chebyshev coefficients of phi/u' and S(u) phi/u' (two columns) on
+        [a, b]; no jet is evaluated where phi vanishes."""
+        def sample(xs):
+            fg = np.zeros((len(xs), 2))
+            for k, x in enumerate(xs.tolist()):
+                t = 0.5 * (a + b) + 0.5 * (b - a) * x
+                phi = self.phi.value(t)
+                if phi:
+                    jet = self.u.jet(t)
+                    fg[k] = (phi / jet.p, schwarzian(jet) * phi / jet.p)
+            return fg
+
+        return chebinterpolate(sample, CHEB_N - 1)
 
     def _cumulative(self, t: float) -> float:
         t = min(max(t, self.t0), self.t1)
-        return float(self._dense(t)[0])
+        i = bisect_right(self._pieces, t, key=lambda piece: piece[0])
+        a, b, w, antideriv = self._pieces[max(i - 1, 0)]
+        return w + float(chebval((2.0 * t - a - b) / (b - a), antideriv))
+
+    def value(self, t: float) -> float:
+        return self.u.jet(t).p * (self.k0 + self._cumulative(t))
 
     def derivs3(self, t: float) -> tuple:
         jet = self.u.jet(t)
@@ -334,16 +369,16 @@ class DuSolution(VariationFn):
 
     def residual(self, n: int = 64, h: float = 1e-4) -> float:
         """max |D_u(v) - phi| on a verification grid, with v' recomputed by a
-        fourth-order central difference of v so the check is independent of
-        the stored derivative formulas."""
+        fourth-order central difference of v = u' (k0 + W), so the check is
+        independent of the derivative formulas in derivs3."""
         worst = 0.0
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
         for i in range(n):
             t = a + (b - a) * i / (n - 1)
-            vals = [self.derivs3(t + k * h)[0] for k in (-2, -1, 1, 2)]
+            vals = [self.value(t + k * h) for k in (-2, -1, 1, 2)]
             v1_fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
             jet = self.u.jet(t)
-            du = v1_fd - (jet.q / jet.p) * self.derivs3(t)[0]
+            du = v1_fd - jet.q * (self.k0 + self._cumulative(t))
             worst = max(worst, abs(du - self.phi.value(t)))
         return worst
 
@@ -395,6 +430,18 @@ class AdmissibleVariation(VariationFn):
             du = g[1] - (jet.q / jet.p) * g[0]
             worst = max(worst, abs(g[0]), abs(du))
         return worst / self.eps
+
+    def delta_IS(self) -> float:
+        """sum(delta_form("schwarzian", u, self, t0, t1)) as a linear functional:
+        D_u(v + vhat) = phi + D_u(vhat), so it is base.schwarzian_integral
+        + int_t0^{t0+eps} S(u) D_u(vhat)/u' dt + B |_t0^t1."""
+        def glue(t):
+            jet, g = self.u.jet(t), self._glue(t)
+            return schwarzian(jet) * (g[1] - (jet.q / jet.p) * g[0]) / jet.p
+
+        return (self.base.schwarzian_integral
+                + _quad(glue, self.t0, self.join, self.u.breakpoints)
+                + _boundary("schwarzian", self.u, self, self.t0, self.t1))
 
     def endpoint_residual(self) -> float:
         """|B(t1) - B(t0)| of the combined variation, evaluated directly."""
@@ -567,8 +614,13 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
                   eps: Optional[float] = None, threshold: float = 1e-4) -> CriticalReport:
     """Probe whether u is a critical point of I_S within the admissible
     class: draw n random bumps, build admissible variations, evaluate the
-    first variation through the "schwarzian" form, and report the maximum
-    |delta| together with a witness if it exceeds the threshold."""
+    first variation, and report the maximum |delta| together with a witness
+    if it exceeds the threshold.
+
+    S(u) is the Euler-Lagrange operator of the admissible variations: for
+    v = u' W with W' = phi/u', D_u(v) = phi, so each probe is the linear
+    functional int S(u) phi/u' dt + glue integral + B| (delta_IS), with no
+    ODE solve.  The variations live on u's domain, which [t0, t1] should be."""
     span = t1 - t0
     if eps is None:
         eps = 0.05 * span
@@ -585,8 +637,7 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
         amplitude = rng.uniform(0.5, 1.5)
         bump = BumpFn(center, radius, amplitude)
         adm = admissible_variation(u, bump, eps)
-        integral, boundary = delta_form("schwarzian", u, adm, t0, t1)
-        delta = integral + boundary
+        delta = adm.delta_IS()
         max_endpoint = max(max_endpoint, adm.endpoint_residual())
         max_du = max(max_du, adm.base.residual())
         if abs(delta) > max_delta:

@@ -17,7 +17,7 @@ from schwarzlab.el_ode import (
     trajectory_csv,
     write_csv,
 )
-from schwarzlab.errors import SingularJetError
+from schwarzlab.errors import IntegrationError, SingularJetError
 from schwarzlab.schwarzian import Jet4
 
 TAN_FAMILY = MobiusFamily(1, 0, 0, 1, 2.0)
@@ -185,3 +185,9 @@ def test_oracle_equivalence_random_windows():
                 err = abs(getattr(traj.final, name) - getattr(oracle, name))
                 assert err <= 10 * tol * max(1.0, abs(getattr(oracle, name)))
             done += 1
+
+
+def test_solver_failure_is_typed():
+    # past the pole of tan(t) at pi/2 the step size collapses
+    with pytest.raises(IntegrationError, match="integration failed"):
+        integrate(Jet4(0.0, 0.0, 1.0, 0.0, 2.0), 2.0, 1e-10)

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_mobius_curve, random_polynomial_variation
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet
 from schwarzlab.el_ode import integrate
-from schwarzlab.errors import InfeasibleVariationError, SingularJetError
+from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError
 from schwarzlab.schwarzian import Jet4, boundary_B
 from schwarzlab.variation import (
     FORMS,
@@ -22,6 +22,7 @@ from schwarzlab.variation import (
     PerturbedCurve,
     SplineVariation,
     TrajectoryCurve,
+    _quad,
     admissible_variation,
     critical_test,
     delta_fd,
@@ -155,6 +156,12 @@ def test_forms_agree_on_random_pairs():
         assert abs(fd_s - totals["schwarzian"]) <= 1e-5 * max(1.0, abs(fd_s))
 
 
+def test_quad_not_converged_raises():
+    with pytest.raises(QuadratureError, match="did not converge") as info:
+        _quad(lambda t: math.sin(1.0 / t), 0.0, 1.0)
+    assert info.value.abserr > 0.0
+
+
 def test_unknown_form_rejected():
     with pytest.raises(ValueError):
         delta_form("form99", AFFINE, ExprVariation("t"), 0.0, 1.0)
@@ -205,6 +212,26 @@ def test_solve_du_kernel_element():
         got = v.derivs3(t)
         assert abs(got[0] - jet.p) <= 1e-12 * jet.p
         assert abs(got[1] - jet.q) <= 1e-12 * jet.q
+
+
+def test_solve_du_two_bumps_on_tan():
+    from scipy.integrate import quad
+
+    u = ExprCurve("tan(t)", (0.1, 1.0))
+    phi = LinearCombination([(1.0, BumpFn(0.35, 0.15, 1.2)), (-0.7, BumpFn(0.7, 0.2, 0.9))])
+    v = solve_du(u, phi, 0.0)
+    for t in (0.2, 0.4, 0.5, 0.62, 0.75, 0.95, 1.0):
+        expected = quad(lambda s: phi.value(s) / u.jet(s).p, 0.1, t,
+                        points=[x for x in phi.breakpoints if x < t], epsabs=1e-14, epsrel=1e-14,
+                        limit=200)[0]
+        assert abs(v.value(t) / u.jet(t).p - expected) <= 1e-11
+    assert v.residual() <= 1e-9
+
+
+def test_solve_du_unresolved_phi_raises():
+    # about 480 periods do not fit into the panel budget
+    with pytest.raises(QuadratureError, match="not resolved"):
+        solve_du(ExprCurve("t", (0.0, 1.0)), ExprVariation("sin(3000*t)"), 0.0)
 
 
 def test_solve_du_residual_random():
@@ -293,6 +320,27 @@ def test_critical_exp_fails_with_witness():
     report = critical_test(u, 0.0, 1.0, 12, seed=5)
     assert report.witness is not None
     assert abs(report.witness["delta"]) > 1e-3
+
+
+def test_delta_IS_matches_schwarzian_form():
+    """The linear-functional first variation equals the Schwarzian-form
+    quadrature over the whole interval."""
+    curves = [
+        ExprCurve("tan(t)", (0.1, 1.0)),
+        ExprCurve("exp(2*t)", (0.0, 1.0)),
+        MobiusCurve(MobiusFamily(1.0, 0.3, 0.2, 1.0, 1.5), (0.0, 1.0)),
+        MobiusCurve(MobiusFamily(2, 1, 1, 3, 0.0), (0.0, 1.0)),
+    ]
+    rng = np.random.default_rng(45)
+    for u in curves:
+        t0, t1 = u.domain
+        for _ in range(3):
+            center = t0 + (t1 - t0) * float(rng.uniform(0.35, 0.65))
+            radius = (t1 - t0) * float(rng.uniform(0.1, 0.25))
+            adm = admissible_variation(u, BumpFn(center, radius, float(rng.uniform(0.5, 1.5))),
+                                       0.05 * (t1 - t0))
+            reference = sum(delta_form("schwarzian", u, adm, t0, t1))
+            assert abs(adm.delta_IS() - reference) <= 1e-12
 
 
 def test_report_serialization():
