@@ -13,6 +13,8 @@ from .closed_form import (
     VerifyReport,
     family_eval_jet,
     family_fourth,
+    family_of_jet,
+    family_poles,
     family_series,
     family_singularities,
     family_verify,

@@ -11,7 +11,9 @@ sigma:
 Moebius post-composition leaves the Schwarzian unchanged, so every member of
 the family has S identically sigma.  Jets are computed by exact
 differentiation of the closed form (Taylor arithmetic on the composite), not
-by finite differences.
+by finite differences.  Conversely every solution of the stationarity
+equation is such a member: family_of_jet maps a jet to it, and its singular
+times follow in closed form from (A, B, C, D).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .symbolics import TaylorScalar
 
 # Half-width of the exclusion window around a pole when evaluating jets.
 POLE_EPS = 1e-9
-# Absolute accuracy of located singular times.
-SINGULARITY_ACCURACY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,25 +66,6 @@ class MobiusFamily:
         return cls(d["A"], d["B"], d["C"], d["D"], d["sigma"])
 
 
-def _generator(f: MobiusFamily, t: float):
-    """Scalar value of the generator g at t, or None at a tan pole."""
-    if f.sigma < 0:
-        return math.exp(math.sqrt(-2.0 * f.sigma) * t)
-    if f.sigma == 0:
-        return t
-    w = math.sqrt(f.sigma / 2.0)
-    if abs(math.cos(w * t)) < 1e-15:
-        return None
-    return math.tan(w * t)
-
-
-def _denominator(f: MobiusFamily, t: float):
-    g = _generator(f, t)
-    if g is None:
-        return None
-    return f.C * g + f.D
-
-
 def family_series(f: MobiusFamily, t: float, order: int = 4) -> TaylorScalar:
     """Taylor series of the family member u at t; exact differentiation of
     the closed form."""
@@ -106,8 +87,7 @@ def family_series(f: MobiusFamily, t: float, order: int = 4) -> TaylorScalar:
 
 def family_eval_jet(f: MobiusFamily, t: float) -> Jet4:
     """The 3-jet of the family member at t."""
-    s = family_series(f, t, order=3)
-    return Jet4(t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+    return Jet4.from_series(family_series(f, t, order=3))
 
 
 def family_fourth(f: MobiusFamily, t: float) -> float:
@@ -115,71 +95,86 @@ def family_fourth(f: MobiusFamily, t: float) -> float:
     return family_series(f, t, order=4).derivative(4)
 
 
-def _tan_poles(f: MobiusFamily, t0: float, t1: float):
-    if f.sigma <= 0:
+def family_of_jet(jet: Jet4) -> MobiusFamily:
+    """The exact solution of the stationarity equation through a jet.
+
+    S is a first integral, so that solution has S identically sigma =
+    S(jet) and is a Moebius image M(h) of the generator centered at jet.t,
+    h(s) = g(s) with s = t - jet.t.  M(x) = u + m1 y / (1 - c y), y = x - h(0),
+    matches the 2-jet with m1 = p / h'(0), m2 = (q - m1 h''(0)) / h'(0)^2 and
+    c = m2 / (2 m1); the third derivative then matches because S(M o h) =
+    S(h) = sigma.  As a matrix M = (k, u - k h(0); -c, 1 + c h(0)) with
+    k = m1 - c u, of determinant m1, nonzero whenever p is.
+
+    The centering is folded into (A, B, C, D): a translation by jet.t for
+    g = t, the factor e^{-a jet.t} for g = e^{a t} (so a * jet.t must keep
+    it inside the float range), and for g = tan(w t) the rotation by w jet.t,
+    tan(w t - w t0) = (g cos w t0 - sin w t0) / (g sin w t0 + cos w t0),
+    which divides by no cosine.
+
+    For sigma near 0 but not 0 (~1e-17 in a jet evaluated from a parabolic
+    family), A, ..., D grow like 1/sqrt|sigma| and cancel in (A g + B)/(C g
+    + D): jets of the result lose about half their digits.
+    """
+    sigma = schwarzian(jet)
+    u, t0 = jet.u, jet.t
+    if sigma < 0:
+        a = math.sqrt(-2.0 * sigma)  # h = e^{a s}: h(0) = 1, h' = a, h'' = a^2
+        m1 = jet.p / a
+        c = (jet.q - m1 * a * a) / (2.0 * m1 * a * a)
+        k, lam = m1 - c * u, math.exp(-a * t0)
+        return MobiusFamily(k * lam, u - k, -c * lam, 1.0 + c, sigma)
+    w = 1.0 if sigma == 0 else math.sqrt(sigma / 2.0)  # h = s or tan(w s): h(0) = h'' = 0
+    m1 = jet.p / w
+    c = jet.q / (2.0 * m1 * w * w)
+    k = m1 - c * u
+    if sigma == 0:
+        return MobiusFamily(k, u - k * t0, -c, 1.0 + c * t0, sigma)
+    cs, sn = math.cos(w * t0), math.sin(w * t0)
+    return MobiusFamily(k * cs + u * sn, u * cs - k * sn, sn - c * cs, cs + c * sn, sigma)
+
+
+def _periodic(phase: float, w: float, t0: float, t1: float) -> list:
+    """The times (phase + k pi) / w inside [t0, t1], ascending."""
+    ks = range(math.ceil((w * t0 - phase) / math.pi), math.floor((w * t1 - phase) / math.pi) + 1)
+    return [t for t in ((phase + k * math.pi) / w for k in ks) if t0 <= t <= t1]
+
+
+def family_poles(f: MobiusFamily, t0: float, t1: float) -> list:
+    """The times in [t0, t1] where the family member u itself blows up,
+    ascending.  These are the zeros of C g + D,
+
+        sigma < 0:  ln(-D/C) / a                 (only when -D/C > 0)
+        sigma = 0:  -D/C
+        sigma > 0:  (atan(-D/C) + k pi) / w,
+
+    and, when C = 0, the poles of tan(w t): the last formula with
+    atan(-D/C) = pi/2.  With C != 0 a pole of tan(w t) is removable, as u
+    tends to A/C there, and is not listed."""
+    if f.sigma > 0:
+        phase = math.pi / 2.0 if f.C == 0.0 else math.atan(-f.D / f.C)
+        return _periodic(phase, math.sqrt(f.sigma / 2.0), t0, t1)
+    if f.C == 0.0:
         return []
-    w = math.sqrt(f.sigma / 2.0)
-    # poles of tan(w t) at w t = pi/2 + k pi
-    k0 = math.ceil((w * t0 - math.pi / 2.0) / math.pi)
-    poles = []
-    k = k0
-    while True:
-        t = (math.pi / 2.0 + k * math.pi) / w
-        if t > t1:
-            break
-        if t >= t0:
-            poles.append(t)
-        k += 1
-    return poles
-
-
-def _bisect_zero(fn, a: float, b: float) -> float:
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    while b - a > SINGULARITY_ACCURACY:
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    x = -f.D / f.C
+    if f.sigma == 0:
+        ts = [x]
+    else:
+        ts = [math.log(x) / math.sqrt(-2.0 * f.sigma)] if x > 0 else []
+    return [t for t in ts if t0 <= t <= t1]
 
 
 def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
-    """All singular times of the family member in [t0, t1]: zeros of the
-    Moebius denominator and poles of the tan generator, sorted ascending.
-
-    The denominator is monotone between generator poles, so each pole-free
-    subinterval holds at most one zero, located by bisection.
-    """
+    """All singular times of the family member in [t0, t1], ascending, in
+    closed form: the poles of u (family_poles) and, where C != 0, the poles
+    of the tan generator, which are removable for u (u -> A/C) but where the
+    jets of the closed form are singular."""
     if t0 >= t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    poles = _tan_poles(f, t0, t1)
-    found = list(poles)
-    if f.C != 0.0:
-        edges = [t0] + poles + [t1]
-        nudge = 1e-9 * max(1.0, t1 - t0)
-        for a, b in zip(edges[:-1], edges[1:]):
-            aa = a + nudge if a in poles else a
-            bb = b - nudge if b in poles else b
-            if aa >= bb:
-                continue
-            da, db = _denominator(f, aa), _denominator(f, bb)
-            if da is None or db is None:
-                continue
-            if da == 0.0:
-                found.append(aa)
-            elif db == 0.0:
-                found.append(bb)
-            elif (da < 0) != (db < 0):
-                found.append(_bisect_zero(lambda t: _denominator(f, t), aa, bb))
-    return sorted(found)
+    out = family_poles(f, t0, t1)
+    if f.sigma > 0 and f.C != 0.0:
+        out = sorted(out + _periodic(math.pi / 2.0, math.sqrt(f.sigma / 2.0), t0, t1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def family_verify(f: MobiusFamily, samples: int, t0: float, t1: float) -> Verify
     for i in range(samples):
         t = t0 + (t1 - t0) * i / (samples - 1)
         s = family_series(f, t, order=4)
-        jet = Jet4(t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+        jet = Jet4.from_series(s)
         max_s = max(max_s, abs(schwarzian(jet) - f.sigma))
         max_f = max(max_f, abs(s.derivative(4) - el_rhs(jet)))
     return VerifyReport(max_s, max_f, samples, (t0, t1))

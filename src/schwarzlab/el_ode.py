@@ -2,20 +2,28 @@
 first-order system on jets, with dense output and continuous monitoring of
 the two first integrals.
 
-The right-hand side blows up as u' -> 0, so integration stops gracefully
-(status "stopped-near-singularity") when |p| decays below the floor.
+Integration stops gracefully (status "stopped-near-singularity") for one of
+two reasons: a pole of u lies ahead, known in closed form from the exact
+solution through the initial jet (closed_form.family_of_jet), as |u'| grows
+without bound there and no event on the state sees it coming; or |p| decays
+below SINGULARITY_FLOOR, where the right-hand side blows up although u stays
+finite (u = e^t / (e^t + 1) as t grows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from scipy.integrate import solve_ivp
 
+from .closed_form import family_of_jet, family_poles
 from .errors import IntegrationError, SingularJetError
 from .schwarzian import Jet4, mercator_c, schwarzian
 
 SINGULARITY_FLOOR = 1e-8
+# distance in t at which a run stops before a pole of u
+POLE_MARGIN = 0.05
 TOL_MIN, TOL_MAX = 1e-13, 1e-3
 
 STATUS_COMPLETED = "completed"
@@ -67,17 +75,32 @@ _p_floor.terminal = True
 
 def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with adaptive
-    local error control at tol.  Works in either time direction."""
+    local error control at tol.  Works in either time direction.  Stops
+    POLE_MARGIN before the first pole of u on the way (or halfway to a pole
+    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if abs(init.p) < SINGULARITY_FLOOR:
         raise SingularJetError(f"singular initial jet (p = {init.p})")
     # internal safety factor so the accumulated endpoint error stays well
-    # inside 10*tol relative to scale; 3e-14 is the float64 rtol floor
-    inner = max(tol / 40.0, 3e-14)
+    # inside 10*tol relative to scale
+    inner = tol / 40.0
+    t_stop = t_end
+    # the equation is autonomous: map the jet moved to t = 0, where e^{a t}
+    # stays inside the float range, and shift the poles back
+    fam = family_of_jet(replace(init, t=0.0))
+    poles = family_poles(fam, *sorted((0.0, t_end - init.t)))
+    if poles:
+        dist = min(abs(t) for t in poles)
+        margin = min(POLE_MARGIN, 0.5 * dist)
+        t_stop = init.t + math.copysign(dist - margin, t_end - init.t)
+        # near the pole the endpoint error grows like the phase error over
+        # the margin, and the phase error like tol over the distance run
+        inner *= margin / dist
+    inner = max(inner, 3e-14)  # the float64 rtol floor
     sol = solve_ivp(
         _rhs,
-        (init.t, t_end),
+        (init.t, t_stop),
         (init.u, init.p, init.q, init.r),
         method="RK45",
         rtol=inner,
@@ -87,7 +110,7 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     )
     if sol.status < 0:
         raise IntegrationError(f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
-    status = STATUS_STOPPED if sol.status == 1 else STATUS_COMPLETED
+    status = STATUS_STOPPED if sol.status == 1 or t_stop != t_end else STATUS_COMPLETED
     ts, ys = sol.t, sol.y
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[:, ::-1]

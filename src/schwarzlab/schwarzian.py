@@ -31,6 +31,12 @@ class Jet4:
     q: float
     r: float
 
+    @classmethod
+    def from_series(cls, s) -> "Jet4":
+        """The jet of a Taylor series (a TaylorScalar of order >= 3) at its
+        base point."""
+        return cls(s.base_point, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+
     def as_dict(self) -> dict:
         return {"t": self.t, "u": self.u, "p": self.p, "q": self.q, "r": self.r}
 

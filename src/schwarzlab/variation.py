@@ -21,7 +21,7 @@ from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .closed_form import MobiusFamily, family_fourth, family_series
+from .closed_form import MobiusFamily, family_eval_jet, family_fourth
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian, schwarzian
@@ -97,8 +97,7 @@ class MobiusCurve(CurveFn):
         self._check_regular()
 
     def jet(self, t: float) -> Jet4:
-        s = family_series(self.family, t, order=3)
-        return Jet4(t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+        return family_eval_jet(self.family, t)
 
     def fourth(self, t: float) -> float:
         return family_fourth(self.family, t)
@@ -125,8 +124,7 @@ class ExprCurve(CurveFn):
         return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, order)})
 
     def jet(self, t: float) -> Jet4:
-        s = self._series(t, 3)
-        return Jet4(t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+        return Jet4.from_series(self._series(t, 3))
 
     def fourth(self, t: float) -> float:
         return self._series(t, 4).derivative(4)
@@ -620,7 +618,10 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
     S(u) is the Euler-Lagrange operator of the admissible variations: for
     v = u' W with W' = phi/u', D_u(v) = phi, so each probe is the linear
     functional int S(u) phi/u' dt + glue integral + B| (delta_IS), with no
-    ODE solve.  The variations live on u's domain, which [t0, t1] should be."""
+    ODE solve.  The variations live on u's domain, so [t0, t1] must be that
+    domain; any other interval raises ValueError."""
+    if (t0, t1) != u.domain:
+        raise ValueError(f"interval ({t0:g}, {t1:g}) is not the curve's domain {u.domain}")
     span = t1 - t0
     if eps is None:
         eps = 0.05 * span

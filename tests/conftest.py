@@ -1,10 +1,17 @@
 """Shared helpers for the test suite: seeded random jets, families with
-pole-free windows, random expression trees, and a symbolic substitution
-utility used as an independent oracle."""
+pole-free windows, random expression trees, a symbolic substitution
+utility used as an independent oracle, the exact jet of a family as the
+integrator's oracle, and a solver that gives up."""
+
+import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from schwarzlab.closed_form import MobiusFamily, family_singularities
+from schwarzlab import el_ode
+from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_singularities
 from schwarzlab.errors import SchwarzLabError
 from schwarzlab.schwarzian import Jet4
 from schwarzlab.symbolics import Add, Const, Div, Expr, Func, Mul, Neg, Pow, Sub, Var
@@ -141,5 +148,31 @@ def mobius_of_jet(jet: Jet4, a: float, b: float, c: float, d: float) -> Jet4:
     from schwarzlab.symbolics import TaylorScalar
 
     u = TaylorScalar(jet.t, (jet.u, jet.p, jet.q / 2.0, jet.r / 6.0))
-    w = (a * u + b) / (c * u + d)
-    return Jet4(jet.t, w.coeffs[0], w.derivative(1), w.derivative(2), w.derivative(3))
+    return Jet4.from_series((a * u + b) / (c * u + d))
+
+
+def exact_jet(family, t):
+    """The family's jet at t from its closed form.  Near a pole of tan(w t)
+    the composite (A g + B)/(C g + D) cancels large terms, so there the same
+    member is evaluated through h = tan(w t - pi/2) = -1/g instead:
+    u = (B h - A)/(D h - C), whose generator stays in [-1, 1]."""
+    if family.sigma > 0.0:
+        w = math.sqrt(family.sigma / 2.0)
+        if abs(math.tan(w * t)) > 1.0:
+            f = MobiusFamily(family.B, -family.A, family.D, -family.C, family.sigma)
+            return replace(family_eval_jet(f, t - math.pi / (2.0 * w)), t=t)
+    return family_eval_jet(family, t)
+
+
+def max_rel_error(got: Jet4, want: Jet4) -> float:
+    """max over u, p, q, r of |got - want| / max(1, |want|)."""
+    return max(abs(getattr(got, n) - getattr(want, n)) / max(1.0, abs(getattr(want, n)))
+               for n in "upqr")
+
+
+@pytest.fixture
+def failing_solver(monkeypatch):
+    """el_ode's solve_ivp replaced by one that gives up at t = 0.7."""
+    failed = SimpleNamespace(status=-1, t=np.array([0.0, 0.7]),
+                             message="Required step size is less than spacing between numbers.")
+    monkeypatch.setattr(el_ode, "solve_ivp", lambda *args, **kwargs: failed)

@@ -56,12 +56,20 @@ def test_integrate_stop_exits_2(capsys):
     assert code == 2
 
 
-def test_integrate_solver_failure_exits_1(capsys):
-    # the tan(t) jet integrated past its pole at pi/2: the solver gives up,
-    # which is reported as an error, not a traceback
-    code, _, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "2"], capsys)
+def test_integrate_solver_failure_exits_1(failing_solver, capsys):
+    # a solver that gives up is reported as an error, not a traceback
+    code, _, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1"], capsys)
     assert code == 1
     assert err.startswith("error: integration failed")
+
+
+def test_integrate_pole_stop_exits_2(capsys):
+    # the tan(t) jet toward its pole at pi/2 stops just before it
+    code, out, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "2"], capsys)
+    assert code == 2
+    assert err == ""
+    last = out.splitlines()[-1].split(",")
+    assert math.pi / 2.0 - 0.1 <= float(last[0]) < math.pi / 2.0
 
 
 def test_integrate_bad_jet_exits_1(capsys):

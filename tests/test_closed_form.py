@@ -7,18 +7,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nonsingular_window, random_family
+from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
 from schwarzlab.closed_form import (
     MobiusFamily,
     family_eval_jet,
     family_fourth,
+    family_of_jet,
+    family_poles,
     family_series,
     family_singularities,
     family_verify,
 )
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import SingularTimeError
-from schwarzlab.schwarzian import schwarzian
+from schwarzlab.schwarzian import Jet4, schwarzian
 
 
 def test_family_class_by_sign():
@@ -79,6 +81,8 @@ def test_singularities_elliptic_denominator_zeros():
     expected = [math.pi / 4.0, math.pi / 2.0]
     assert len(out) == 2
     assert np.allclose(out, expected, rtol=0, atol=1e-12)
+    # the tan pole is removable for u (u -> A/C = 1 there): not a pole of u
+    assert family_poles(fam, 0.0, 3.2) == pytest.approx([math.pi / 4.0], abs=1e-12)
 
 
 def test_eval_at_singular_time_raises():
@@ -174,3 +178,45 @@ def test_json_round_trip():
     assert again == fam
     payload = json.loads(fam.to_json())
     assert set(payload) == {"A", "B", "C", "D", "sigma"}
+
+
+def _parabolic(jet):
+    """The jet with p rounded to a power of two and r = 1.5 (q/p)^2 p, so
+    that S(jet) = r/p - 1.5 (q/p)^2 is exactly 0 in floating point."""
+    p = math.copysign(2.0 ** round(math.log2(abs(jet.p))), jet.p)
+    return Jet4(jet.t, jet.u, p, jet.q, 1.5 * (jet.q / p) ** 2 * p)
+
+
+def test_family_of_jet_round_trip():
+    rng = np.random.default_rng(24)
+    seen = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
+    for i in range(900):
+        jet = random_jet(rng)
+        if i % 3 == 0:
+            jet = _parabolic(jet)
+        fam = family_of_jet(jet)
+        assert fam.sigma == schwarzian(jet)
+        assert abs(fam.determinant) > 0.0
+        assert max_rel_error(exact_jet(fam, jet.t), jet) <= 1e-10, jet
+        seen[fam.family_class] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_family_of_jet_reproduces_poles():
+    rng = np.random.default_rng(25)
+    for cls in ("hyperbolic", "parabolic", "elliptic"):
+        done = 0
+        while done < 20:
+            fam = random_family(rng, cls)
+            window = nonsingular_window(fam)
+            if window is None:
+                continue
+            t = float(rng.uniform(*window))
+            lo, hi = t - 3.0, t + 3.0
+            want = family_poles(fam, lo, hi)
+            if any(min(abs(x - lo), abs(x - hi)) < 1e-6 for x in want):
+                continue
+            got = family_poles(family_of_jet(family_eval_jet(fam, t)), lo, hi)
+            assert len(got) == len(want), (fam, t, got, want)
+            assert np.allclose(got, want, rtol=0, atol=1e-8), (fam, t, got, want)
+            done += 1

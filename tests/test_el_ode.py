@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nonsingular_window, random_family, random_jet
-from schwarzlab.closed_form import MobiusFamily, family_eval_jet
+from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
+from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_of_jet
 from schwarzlab.el_ode import (
     STATUS_COMPLETED,
     STATUS_STOPPED,
@@ -68,6 +68,7 @@ def test_conservation_on_random_trajectories():
             continue
         ds, dc = invariant_drift(traj)
         assert ds <= 100 * tol and dc <= 100 * tol
+        assert max_rel_error(traj.final, exact_jet(family_of_jet(j), traj.t_final)) <= 10 * tol
         done += 1
 
 
@@ -187,7 +188,27 @@ def test_oracle_equivalence_random_windows():
             done += 1
 
 
-def test_solver_failure_is_typed():
-    # past the pole of tan(t) at pi/2 the step size collapses
-    with pytest.raises(IntegrationError, match="integration failed"):
-        integrate(Jet4(0.0, 0.0, 1.0, 0.0, 2.0), 2.0, 1e-10)
+def test_solver_failure_is_typed(failing_solver):
+    with pytest.raises(IntegrationError, match="integration failed at t = 0.7"):
+        integrate(Jet4(0.0, 0.0, 1.0, 0.0, 2.0), 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_stops_before_the_tan_pole(t_end):
+    # tan(t) from 0 toward its pole at pi/2 (or -pi/2 backward)
+    tol = 1e-10
+    traj = integrate(Jet4(0.0, 0.0, 1.0, 0.0, 2.0), t_end, tol)
+    assert traj.status == STATUS_STOPPED
+    assert math.pi / 2.0 - 0.1 <= abs(traj.t_final) < math.pi / 2.0
+    assert math.copysign(1.0, traj.t_final) == math.copysign(1.0, t_end)
+    assert max_rel_error(traj.final, exact_jet(TAN_FAMILY, traj.t_final)) <= 10 * tol
+
+
+def test_runs_through_a_removable_tan_pole():
+    # u = 1/tan(t): tan's pole at pi/2 is removable (u = 0 there), u's own
+    # poles are at 0 and pi
+    cot = MobiusFamily(0.0, 1.0, 1.0, 0.0, 2.0)
+    tol = 1e-10
+    traj = integrate(exact_jet(cot, 0.5), 2.5, tol)
+    assert traj.status == STATUS_COMPLETED and traj.t_final == 2.5
+    assert max_rel_error(traj.final, exact_jet(cot, 2.5)) <= 10 * tol

@@ -315,6 +315,14 @@ def test_critical_tan_fails_with_witness():
     assert report.max_du_residual <= 1e-9
 
 
+def test_critical_interval_must_be_the_domain():
+    # the variations live on the curve's domain: probing a sub-interval
+    # would mix the two
+    u = ExprCurve("tan(t)", (0.1, 1.0))
+    with pytest.raises(ValueError, match="domain"):
+        critical_test(u, 0.3, 0.8, 3, seed=1)
+
+
 def test_critical_exp_fails_with_witness():
     u = ExprCurve("exp(2*t)", (0.0, 1.0))
     report = critical_test(u, 0.0, 1.0, 12, seed=5)
