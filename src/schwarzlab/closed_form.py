@@ -68,21 +68,33 @@ class MobiusFamily:
 
 def family_series(f: MobiusFamily, t: float, order: int = 4) -> TaylorScalar:
     """Taylor series of the family member u at t; exact differentiation of
-    the closed form."""
+    the closed form.
+
+    Where |tan(w t)| > 1 the composite (A g + B)/(C g + D) would cancel
+    large terms, so there the same member is evaluated through the
+    quarter-period shift h(t) = tan(w t - pi/2) = -1/g, as (B h - A)/(D h - C),
+    whose generator stays in [-1, 1].  A pole of tan(w t) is then an
+    ordinary point of h: removable ones (C != 0) evaluate to u = A/C, and
+    with C = 0 the shifted denominator D h vanishes."""
+    A, B, C, D = f.A, f.B, f.C, f.D
     tt = TaylorScalar.variable(t, order)
     if f.sigma < 0:
         g = (tt * math.sqrt(-2.0 * f.sigma)).exp()
     elif f.sigma == 0:
         g = tt
     else:
+        w = math.sqrt(f.sigma / 2.0)
+        if abs(math.tan(w * t)) > 1.0:
+            A, B, C, D = B, -A, D, -C
+            tt = tt - math.pi / (2.0 * w)
         try:
-            g = (tt * math.sqrt(f.sigma / 2.0)).tan()
+            g = (tt * w).tan()
         except EvalDomainError:
             raise SingularTimeError(f"tan pole at t = {t}") from None
-    den = f.C * g + f.D
+    den = C * g + D
     if abs(den.coeffs[0]) < POLE_EPS:
         raise SingularTimeError(f"Moebius denominator vanishes at t = {t}")
-    return (f.A * g + f.B) / den
+    return (A * g + B) / den
 
 
 def family_eval_jet(f: MobiusFamily, t: float) -> Jet4:
@@ -167,8 +179,9 @@ def family_poles(f: MobiusFamily, t0: float, t1: float) -> list:
 def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
     """All singular times of the family member in [t0, t1], ascending, in
     closed form: the poles of u (family_poles) and, where C != 0, the poles
-    of the tan generator, which are removable for u (u -> A/C) but where the
-    jets of the closed form are singular."""
+    of the tan generator.  Those are removable for u: family_series
+    evaluates jets there through the shifted generator (u = A/C).  They stay
+    listed so that callers can keep windows away from the generator's poles."""
     if t0 >= t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
     out = family_poles(f, t0, t1)

@@ -6,7 +6,9 @@ Total derivatives of the partials F_p, F_q, F_r along the prolonged flow are
 read off Taylor series of the formal solution through the jet, so the
 invariants are exact to machine precision (no finite differences).  The k-th
 total derivative of G is k! times coefficient k of G composed with the flow
-series.
+series.  One flow series per jet serves both invariants: it is built once,
+F_r, F_q and F_p are each evaluated on it once, and W0 and W1 are read off
+the same coefficients.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from .symbolics import (
     variables_of,
 )
 
-# W0 needs three total derivatives of F_r; order 8 flow series leave two
-# orders of headroom.
-TAYLOR_ORDER = 8
+# The highest total derivative read is d3F_r, coefficient 3 of F_r.  F_r
+# reads r through that coefficient, so u through coefficient 6: an order-6
+# flow series holds exactly what W0 and W1 need, and a longer one would give
+# the same low coefficients.
+TAYLOR_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -57,49 +61,16 @@ def el_field() -> OdeField:
     return OdeField.from_expression(EL_FIELD_TEXT)
 
 
-def _flow_env(field: OdeField, j: Jet4) -> dict:
+def _wuenschmann(field: OdeField, j: Jet4) -> tuple:
+    """(W0, W1) at j, the formulas of w0 and w1, from one flow series through
+    j: the k-th total derivative of G is k! times coefficient k of G
+    evaluated on it."""
     env = formal_solution(field.F, j, TAYLOR_ORDER)
-    env["t"] = TaylorScalar.variable(j.t, TAYLOR_ORDER)
-    return env
-
-
-def _total_derivs(expr: Expr, env: dict, k_max: int) -> list:
-    """[G, dG/dt, ..., d^k G/dt^k] along the flow at the base point."""
-    series = taylor_eval(expr, env)
-    return [series.derivative(k) for k in range(k_max + 1)]
-
-
-def w1(field: OdeField, j: Jet4) -> float:
-    """First generalized Wuenschmann invariant:
-
-    W1 = (9/4) F_r dF_r - (3/2) d2F_r + 3 dF_q - (3/8) F_r^3
-         - (3/2) F_q F_r - 3 F_p
-    """
-    env = _flow_env(field, j)
-    fr, dfr, d2fr = _total_derivs(field.Fr, env, 2)
-    fq, dfq = _total_derivs(field.Fq, env, 1)
-    fp = _total_derivs(field.Fp, env, 0)[0]
-    return (
-        2.25 * fr * dfr
-        - 1.5 * d2fr
-        + 3.0 * dfq
-        - 0.375 * fr ** 3
-        - 1.5 * fq * fr
-        - 3.0 * fp
-    )
-
-
-def w0(field: OdeField, j: Jet4) -> float:
-    """Second generalized Wuenschmann invariant:
-
-    W0 = (11/1600) F_r^4 - (9/50) F_r^2 dF_r - (1/200) F_r^2 F_q
-         + (21/100) (dF_r)^2 + (1/50) dF_r F_q - (9/100) F_q^2
-         + (7/20) F_r d2F_r - (1/5) d3F_r + (3/10) d2F_q - (1/4) F_r dF_q
-    """
-    env = _flow_env(field, j)
-    fr, dfr, d2fr, d3fr = _total_derivs(field.Fr, env, 3)
-    fq, dfq, d2fq = _total_derivs(field.Fq, env, 2)
-    return (
+    series_r, series_q = taylor_eval(field.Fr, env), taylor_eval(field.Fq, env)
+    fr, dfr, d2fr, d3fr = (series_r.derivative(k) for k in range(4))
+    fq, dfq, d2fq = (series_q.derivative(k) for k in range(3))
+    fp = taylor_eval(field.Fp, env).derivative(0)
+    W0 = (
         (11.0 / 1600.0) * fr ** 4
         - 0.18 * fr ** 2 * dfr
         - 0.005 * fr ** 2 * fq
@@ -111,11 +82,40 @@ def w0(field: OdeField, j: Jet4) -> float:
         + 0.3 * d2fq
         - 0.25 * fr * dfq
     )
+    W1 = (
+        2.25 * fr * dfr
+        - 1.5 * d2fr
+        + 3.0 * dfq
+        - 0.375 * fr ** 3
+        - 1.5 * fq * fr
+        - 3.0 * fp
+    )
+    return W0, W1
+
+
+def w1(field: OdeField, j: Jet4) -> float:
+    """First generalized Wuenschmann invariant:
+
+    W1 = (9/4) F_r dF_r - (3/2) d2F_r + 3 dF_q - (3/8) F_r^3
+         - (3/2) F_q F_r - 3 F_p
+    """
+    return _wuenschmann(field, j)[1]
+
+
+def w0(field: OdeField, j: Jet4) -> float:
+    """Second generalized Wuenschmann invariant:
+
+    W0 = (11/1600) F_r^4 - (9/50) F_r^2 dF_r - (1/200) F_r^2 F_q
+         + (21/100) (dF_r)^2 + (1/50) dF_r F_q - (9/100) F_q^2
+         + (7/20) F_r d2F_r - (1/5) d3F_r + (3/10) d2F_q - (1/4) F_r dF_q
+    """
+    return _wuenschmann(field, j)[0]
 
 
 def invariants_at(field: OdeField, j: Jet4, with_schwarzian: bool = False) -> dict:
     """JSON-ready invariant record for one jet."""
-    row = {"jet": list(j.as_tuple()), "W0": w0(field, j), "W1": w1(field, j)}
+    W0, W1 = _wuenschmann(field, j)
+    row = {"jet": list(j.as_tuple()), "W0": W0, "W1": W1}
     if with_schwarzian:
         row["S"] = schwarzian(j)
     return row
@@ -155,11 +155,10 @@ class LinearizedOde:
 
     @classmethod
     def along(cls, field: OdeField, base: BaseSolution) -> "LinearizedOde":
-        return cls(
-            a1=lambda t: eval_scalar(field.Fp, _base_jet(base, t)),
-            a2=lambda t: eval_scalar(field.Fq, _base_jet(base, t)),
-            a3=lambda t: eval_scalar(field.Fr, _base_jet(base, t)),
-        )
+        def coefficient(i):
+            return lambda t: linearize(field, base, t)[i]
+
+        return cls(coefficient(0), coefficient(1), coefficient(2))
 
 
 def _derivs_to_4(fn: Union[str, Expr], t: float) -> list:

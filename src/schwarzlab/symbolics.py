@@ -703,29 +703,25 @@ def flow_env(u_series: TaylorScalar) -> dict:
 def formal_solution(F: Expr, init, order: int) -> dict:
     """Taylor series of the formal solution of u'''' = F through a jet.
 
-    init supplies (t, u, u', u'', u''') either as a Jet4 or a 5-tuple.  The
-    classical recurrence seeds the first four coefficients from the jet,
-    evaluates F on the current partial series, integrates termwise, and
-    repeats until the coefficients stop changing.  Returns series for u and
-    its first three derivatives, all at the requested order (the top entries
-    of p, q, r are truncation-padded with zeros).
+    init supplies (t, u, u', u'', u''') either as a Jet4 or a 5-tuple; the
+    jet fixes coefficients 0..3 of u.  Coefficient k of F reads u only
+    through coefficient k+3, so one pass per coefficient fills the rest in a
+    single sweep (Taylor propagation; Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13): pass k evaluates F once on the series so
+    far and sets coefficient k+4 from F's coefficient k, for k = 0 ..
+    order-4.  Returns flow_env of the result, {t, u, p, q, r}, all at the
+    requested order (the top entries of p, q, r are truncation-padded with
+    zeros).
 
     Derivative series are valid through coefficient order-1, order-2, and
     order-3 respectively; F evaluated on the result is valid through
-    coefficient order-4.
+    coefficient order-4.  Coefficient k does not depend on the order.
     """
     if order < 4:
         raise ValueError(f"order must be at least 4, got {order}")
     t0, u0, p0, q0, r0 = _jet5(init)
     coeffs = [u0, p0, q0 / 2.0, r0 / 6.0] + [0.0] * (order - 3)
-    for _ in range(order):
-        env = flow_env(TaylorScalar(t0, tuple(coeffs)))
-        f = taylor_eval(F, env)
-        new = list(coeffs)
-        for k in range(order - 3):
-            new[k + 4] = f.coeffs[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4))
-        if new == coeffs:
-            break
-        coeffs = new
-    env = flow_env(TaylorScalar(t0, tuple(coeffs)))
-    return {name: env[name] for name in ("u", "p", "q", "r")}
+    for k in range(order - 3):
+        f = taylor_eval(F, flow_env(TaylorScalar(t0, tuple(coeffs))))
+        coeffs[k + 4] = f.coeffs[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4))
+    return flow_env(TaylorScalar(t0, tuple(coeffs)))

@@ -21,14 +21,16 @@ from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .closed_form import MobiusFamily, family_eval_jet, family_fourth
+from .closed_form import MobiusFamily, family_eval_jet, family_fourth, family_poles
 from .el_ode import Trajectory
-from .errors import InfeasibleVariationError, QuadratureError, SingularJetError
+from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian, schwarzian
 from .symbolics import Expr, TaylorScalar, parse, taylor_eval, variables_of
 
 QUAD_EPS = 1e-12
 CURVE_P_FLOOR = 1e-8
+# relative rounding allowed in u between two samples of the regularity check
+CURVE_U_ROUNDING = 1e-12
 
 FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 
@@ -55,8 +57,10 @@ def _quad(fn, a, b, breakpoints=()):
 # ---------------------------------------------------------------------------
 
 class CurveFn:
-    """Base class.  Subclasses provide jet(t); construction samples |u'| on a
-    grid and rejects curves that come too close to u' = 0."""
+    """Base class.  Subclasses provide jet(t); construction samples the jet on
+    a grid and rejects curves that come too close to u' = 0, or whose u moves
+    against the sign of u' between two samples: by the mean value theorem a
+    continuous u cannot, so a pole lies between them."""
 
     domain: tuple
     breakpoints: tuple = ()
@@ -72,7 +76,7 @@ class CurveFn:
 
     def _check_regular(self, n: int = 101):
         t0, t1 = self.domain
-        last_sign = 0.0
+        last_sign, last_u = 0.0, 0.0
         for i in range(n):
             t = t0 + (t1 - t0) * i / (n - 1)
             jet = self.jet(t)
@@ -85,7 +89,12 @@ class CurveFn:
                 raise SingularJetError(
                     f"curve {self.describe()} has u' changing sign near t = {t}"
                 )
-            last_sign = sign
+            if last_sign and sign * (jet.u - last_u) < -CURVE_U_ROUNDING * max(abs(jet.u), abs(last_u)):
+                raise SingularJetError(
+                    f"curve {self.describe()} has u moving against the sign of u' near t = {t}: "
+                    "a pole lies in its domain"
+                )
+            last_sign, last_u = sign, jet.u
 
 
 class MobiusCurve(CurveFn):
@@ -94,6 +103,9 @@ class MobiusCurve(CurveFn):
     def __init__(self, family: MobiusFamily, domain: tuple):
         self.family = family
         self.domain = (float(domain[0]), float(domain[1]))
+        poles = family_poles(family, *self.domain)
+        if poles:
+            raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
         self._check_regular()
 
     def jet(self, t: float) -> Jet4:

@@ -4,6 +4,8 @@ config-file handling."""
 import json
 import math
 
+import pytest
+
 from schwarzlab.cli import main
 
 
@@ -114,6 +116,18 @@ def test_invariants_random_deterministic(capsys):
     assert out1 == out2
 
 
+def test_invariants_without_jets_exits_1(capsys):
+    code, _, err = run(["invariants", "--field", "EL"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_invariants_unknown_field_exits_1(capsys):
+    code, _, err = run(["invariants", "--field", "XX", "--jet", "0,0,1,0,2"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_invariants_parse_error_exits_1(capsys):
     code, _, err = run(["invariants", "--F", "q^(1/2)", "--jet", "0,0,1,0,0"], capsys)
     assert code == 1
@@ -142,6 +156,22 @@ def test_family_degenerate_exits_1(capsys):
     assert code == 1
 
 
+def test_family_jet_at(capsys):
+    code, out, _ = run(["family", "--sigma", "2", "--jet-at", "0.5"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    tan, sec2 = math.tan(0.5), 1.0 + math.tan(0.5) ** 2
+    want = [0.5, tan, sec2, 2.0 * tan * sec2, 2.0 * sec2 * (1.0 + 3.0 * tan ** 2)]
+    assert payload["jet"] == pytest.approx(want, rel=1e-13)
+    assert abs(payload["schwarzian"] - 2.0) <= 1e-12
+
+
+def test_family_jet_at_pole_exits_1(capsys):
+    code, _, err = run(["family", "--sigma", "2", "--jet-at", "1.5707963267948966"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_linearize_table(capsys):
     code, out, _ = run(["linearize", "--field", "EL", "--base", "exp", "--t", "0.3"], capsys)
     assert code == 0
@@ -157,9 +187,29 @@ def test_linearize_named_bases(capsys):
     assert (row["a1"], row["a2"], row["a3"]) == (0.0, 0.0, 0.0)
 
 
+def test_linearize_base_json_matches_named_base(capsys):
+    argv = ["linearize", "--t", "0.3", "--base"]
+    _, named, _ = run(argv + ["exp"], capsys)
+    code, given, _ = run(argv + ['{"A":1,"B":0,"C":0,"D":1,"sigma":-0.5}'], capsys)
+    assert code == 0
+    assert json.loads(given)["rows"] == json.loads(named)["rows"]
+
+
 # ---------------------------------------------------------------------------
 # variation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("curve", [
+    ["--mobius", '{"A":1,"B":0,"C":1,"D":-0.503,"sigma":0}', "--interval", "0,1"],
+    ["--u", "1/(t-0.503)", "--interval", "0,1"],
+    ["--u", "tan(t)", "--interval", "1,2"],
+], ids=["mobius", "simple-pole", "tan"])
+def test_variation_across_a_pole_exits_1(curve, capsys):
+    code, out, err = run(["variation", *curve, "--n", "3", "--expect-critical"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "pole" in err
+
 
 def test_variation_expect_critical_witness(capsys):
     code, out, _ = run(

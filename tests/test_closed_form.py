@@ -202,6 +202,12 @@ def test_family_of_jet_round_trip():
     assert min(seen.values()) >= 100, seen
 
 
+def test_family_eval_jet_near_a_removable_tan_pole():
+    # sigma = 7.10 and tan(w t) ~ 30: the unshifted composite lost 5e-11 in r
+    jet = Jet4(0.8155, 0.5626, -0.1175, -0.0999, -0.9622)
+    assert max_rel_error(family_eval_jet(family_of_jet(jet), jet.t), jet) <= 1e-13
+
+
 def test_family_of_jet_reproduces_poles():
     rng = np.random.default_rng(25)
     for cls in ("hyperbolic", "parabolic", "elliptic"):

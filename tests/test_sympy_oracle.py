@@ -12,7 +12,7 @@ from conftest import random_expr, random_jet
 from schwarzlab.errors import EvalDomainError
 from schwarzlab.ode_geometry import OdeField, el_field, w0, w1
 from schwarzlab.symbolics import (
-    Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, differentiate, eval_scalar, formal_solution,
+    Add, Const, Div, Func, Mul, Neg, Pow, Sub, Var, differentiate, eval_scalar, formal_solution, parse,
 )
 
 sp = pytest.importorskip("sympy")
@@ -52,24 +52,40 @@ def total_derivative(f, F):
     return sp.diff(f, T) + P * sp.diff(f, U) + Q * sp.diff(f, P) + R * sp.diff(f, Q) + F * sp.diff(f, R)
 
 
+def _assert_partials_match(e, jet):
+    se = to_sympy(e)
+    for v in "tupqr":
+        got = eval_scalar(differentiate(e, v), jet.as_dict())
+        want = at(sp.diff(se, SYMBOLS[v]), jet)
+        assert close(got, want, 1e-9), f"{e} d/d{v}: {got} vs {want}"
+
+
+# tan and ln, which random_expr leaves out, with their differentiation rules
+TAN_LN_TREES = (
+    "tan(u*p) + ln(q^2 + 1)*r",
+    "ln(exp(t) + p^2)/tan(r + 2)",
+    "tan(ln(1 + u^2) - q)*p^3",
+    "ln(tan(0.5 + 0.1*t)^2 + r^2)",
+)
+
+
 def test_differentiate_matches_sympy():
     rng = np.random.default_rng(51)
     checked = 0
     for _ in range(30):
         e = random_expr(rng, depth=4)
-        se = to_sympy(e)
         jet = random_jet(rng, 0.3, 1.5)
         try:
             if abs(eval_scalar(e, jet.as_dict())) > 1e3:
                 continue
-            for v in "tupqr":
-                got = eval_scalar(differentiate(e, v), jet.as_dict())
-                want = at(sp.diff(se, SYMBOLS[v]), jet)
-                assert close(got, want, 1e-9), f"{e} d/d{v}: {got} vs {want}"
+            _assert_partials_match(e, jet)
         except (EvalDomainError, OverflowError, ZeroDivisionError):
             continue
         checked += 1
     assert checked >= 20
+    for text in TAN_LN_TREES:
+        for _ in range(3):
+            _assert_partials_match(parse(text), random_jet(rng, 0.3, 1.5))
 
 
 def _linear_field(rng):
@@ -80,10 +96,11 @@ def _linear_field(rng):
 
 def _fields():
     rng = np.random.default_rng(52)
-    return [el_field()] + [_linear_field(rng) for _ in range(3)]
+    nonlinear = OdeField.from_expression("tan(0.3*t)*r + ln(1 + p^2)*q - exp(0.2*u)*p")
+    return [el_field()] + [_linear_field(rng) for _ in range(3)] + [nonlinear]
 
 
-@pytest.mark.parametrize("field", _fields(), ids=["EL", "linear1", "linear2", "linear3"])
+@pytest.mark.parametrize("field", _fields(), ids=["EL", "linear1", "linear2", "linear3", "tan-ln-exp"])
 def test_formal_solution_and_invariants_match_sympy(field):
     order = 8
     F = to_sympy(field.F)

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_mobius_curve, random_polynomial_variation
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet
 from schwarzlab.el_ode import integrate
-from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError
+from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from schwarzlab.schwarzian import Jet4, boundary_B
 from schwarzlab.variation import (
     FORMS,
@@ -84,6 +84,24 @@ def test_near_singular_curve_rejected():
         ExprCurve("sin(t)", (0.0, 3.2))  # u' = cos t crosses zero
     with pytest.raises(SingularJetError):
         PerturbedCurve(ExprCurve("t", (0.0, 1.0)), ExprVariation("-1*t"), 1.0)
+
+
+def test_curve_with_a_pole_in_its_domain_rejected():
+    # u' keeps its sign across a simple pole, so only the exact pole map
+    # (MobiusCurve) or u moving against u' (any curve) can see it
+    with pytest.raises(SingularTimeError):
+        MobiusCurve(MobiusFamily(1.0, 0.0, 1.0, -0.503, 0.0), (0.0, 1.0))
+    with pytest.raises(SingularJetError):
+        ExprCurve("1/(t-0.503)", (0.0, 1.0))
+    with pytest.raises(SingularJetError):
+        ExprCurve("tan(t)", (1.0, 2.0))
+
+
+def test_removable_tan_pole_in_the_domain_accepted():
+    # u = tan(t)/(tan(t) - 1) is regular at pi/2, where u = A/C = 1
+    curve = MobiusCurve(MobiusFamily(1.0, 0.0, 1.0, -1.0, 2.0), (0.9, 2.0))
+    jet = curve.jet(math.pi / 2.0)
+    assert (jet.u, jet.p) == pytest.approx((1.0, -1.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
