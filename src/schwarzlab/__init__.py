@@ -15,7 +15,6 @@ from .closed_form import (
     family_fourth,
     family_of_jet,
     family_poles,
-    family_series,
     family_singularities,
     family_verify,
 )

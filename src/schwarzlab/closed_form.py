@@ -1,19 +1,26 @@
 """Exact solution families of the fourth-order equation, organised by the
 constant value sigma of the Schwarzian along the solution.
 
-A family is a Moebius transform of a generator g(t) that realises S(g) =
-sigma:
+Every solution is a Moebius image of one generator with S = sigma, analytic
+in sigma:
 
-    sigma < 0:  g(t) = exp(a t),    a = sqrt(-2 sigma)   (S(e^{at}) = -a^2/2)
-    sigma = 0:  g(t) = t
-    sigma > 0:  g(t) = tan(w t),    w = sqrt(sigma / 2)  (S(tan wt) = 2 w^2)
+    G(s) = tan(w s)/w   (sigma > 0, w = sqrt(sigma/2)),
+           s            (sigma = 0),
+           tanh(k s)/k  (sigma < 0, k = sqrt(-sigma/2)),
 
-Moebius post-composition leaves the Schwarzian unchanged, so every member of
-the family has S identically sigma.  Jets are computed by exact
-differentiation of the closed form (Taylor arithmetic on the composite), not
-by finite differences.  Conversely every solution of the stationarity
-equation is such a member: family_of_jet maps a jet to it, and its singular
-times follow in closed form from (A, B, C, D).
+with G(0) = G''(0) = 0, G'(0) = 1 and G' = 1 + (sigma/2) G^2.  The public
+form MobiusFamily(A, B, C, D, sigma) is u = (A g + B)/(C g + D) in the
+generators g(t) = tan(w t), t and e^{2 k t}.  The matrix P(t) of _shift
+recentres them on G: g(t + s) = P(t) G(s) as Moebius maps, with
+
+    P(t) = (w cos wt, sin wt; -w sin wt, cos wt),  (1, t; 0, 1)  or
+           (k e^{kt}, e^{kt}; -k e^{-kt}, e^{-kt}),  of determinant w, 1, 2k.
+
+With (A B; C D) P(t) = (alpha beta; gamma delta) the member near t is
+u(t + s) = u + p G(s)/(1 - c G(s)): u = beta/delta, p = det/delta^2,
+c = -gamma/delta.  Its jet is closed form in (p, c, sigma), see
+family_eval_jet, and its poles are where G(s) = 1/c (generator_solve).
+family_of_jet inverts the product.
 """
 
 from __future__ import annotations
@@ -22,9 +29,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import EvalDomainError, SingularTimeError
+from .errors import SingularTimeError
 from .schwarzian import Jet4, el_rhs, schwarzian
-from .symbolics import TaylorScalar
 
 # Half-width of the exclusion window around a pole when evaluating jets.
 POLE_EPS = 1e-9
@@ -66,127 +72,113 @@ class MobiusFamily:
         return cls(d["A"], d["B"], d["C"], d["D"], d["sigma"])
 
 
-def family_series(f: MobiusFamily, t: float, order: int = 4) -> TaylorScalar:
-    """Taylor series of the family member u at t; exact differentiation of
-    the closed form.
+def _shift(sigma: float, t: float) -> tuple:
+    """(P(t) as (a, b, c, d) row by row, det P) with g(t + s) = P(t) G(s)."""
+    if sigma > 0:
+        w = math.sqrt(sigma / 2.0)
+        cs, sn = math.cos(w * t), math.sin(w * t)
+        return (w * cs, sn, -w * sn, cs), w
+    if sigma == 0:
+        return (1.0, t, 0.0, 1.0), 1.0
+    k = math.sqrt(-sigma / 2.0)
+    try:
+        up, down = math.exp(k * t), math.exp(-k * t)
+    except OverflowError:
+        raise ValueError(f"e^(+-k t) is outside the float range at k t = {k * t:g}") from None
+    return (k * up, up, -k * down, down), 2.0 * k
 
-    Where |tan(w t)| > 1 the composite (A g + B)/(C g + D) would cancel
-    large terms, so there the same member is evaluated through the
-    quarter-period shift h(t) = tan(w t - pi/2) = -1/g, as (B h - A)/(D h - C),
-    whose generator stays in [-1, 1].  A pole of tan(w t) is then an
-    ordinary point of h: removable ones (C != 0) evaluate to u = A/C, and
-    with C = 0 the shifted denominator D h vanishes."""
-    A, B, C, D = f.A, f.B, f.C, f.D
-    tt = TaylorScalar.variable(t, order)
-    if f.sigma < 0:
-        g = (tt * math.sqrt(-2.0 * f.sigma)).exp()
-    elif f.sigma == 0:
-        g = tt
-    else:
-        w = math.sqrt(f.sigma / 2.0)
-        if abs(math.tan(w * t)) > 1.0:
-            A, B, C, D = B, -A, D, -C
-            tt = tt - math.pi / (2.0 * w)
-        try:
-            g = (tt * w).tan()
-        except EvalDomainError:
-            raise SingularTimeError(f"tan pole at t = {t}") from None
-    den = C * g + D
-    if abs(den.coeffs[0]) < POLE_EPS:
-        raise SingularTimeError(f"Moebius denominator vanishes at t = {t}")
-    return (A * g + B) / den
+
+def _member(f: MobiusFamily, t: float) -> tuple:
+    """(u, p, c) of the member u(t + s) = u + p G(s)/(1 - c G(s)) at t.  Its
+    nearest pole is where G(s) = 1/c, so |1/c| < POLE_EPS counts as a pole."""
+    (a, b, c, d), det = _shift(f.sigma, t)
+    beta, gamma, delta = f.A * b + f.B * d, f.C * a + f.D * c, f.C * b + f.D * d
+    if abs(delta) < POLE_EPS * abs(gamma):
+        raise SingularTimeError(f"pole of the family member within {POLE_EPS:g} of t = {t}")
+    return beta / delta, f.determinant * det / delta / delta, -gamma / delta
 
 
 def family_eval_jet(f: MobiusFamily, t: float) -> Jet4:
-    """The 3-jet of the family member at t."""
-    return Jet4.from_series(family_series(f, t, order=3))
+    """The 3-jet of the family member at t, from the series of G:
+    q = 2pc and r = p (sigma + 6c^2)."""
+    u, p, c = _member(f, t)
+    return Jet4(t, u, p, 2.0 * p * c, p * (f.sigma + 6.0 * c * c))
 
 
 def family_fourth(f: MobiusFamily, t: float) -> float:
-    """u''''(t) from exact differentiation of the closed form."""
-    return family_series(f, t, order=4).derivative(4)
+    """u''''(t) = 8pc (sigma + 3c^2) of the family member."""
+    _, p, c = _member(f, t)
+    return 8.0 * p * c * (f.sigma + 3.0 * c * c)
 
 
 def family_of_jet(jet: Jet4) -> MobiusFamily:
     """The exact solution of the stationarity equation through a jet.
 
     S is a first integral, so that solution has S identically sigma =
-    S(jet) and is a Moebius image M(h) of the generator centered at jet.t,
-    h(s) = g(s) with s = t - jet.t.  M(x) = u + m1 y / (1 - c y), y = x - h(0),
-    matches the 2-jet with m1 = p / h'(0), m2 = (q - m1 h''(0)) / h'(0)^2 and
-    c = m2 / (2 m1); the third derivative then matches because S(M o h) =
-    S(h) = sigma.  As a matrix M = (k, u - k h(0); -c, 1 + c h(0)) with
-    k = m1 - c u, of determinant m1, nonzero whenever p is.
-
-    The centering is folded into (A, B, C, D): a translation by jet.t for
-    g = t, the factor e^{-a jet.t} for g = e^{a t} (so a * jet.t must keep
-    it inside the float range), and for g = tan(w t) the rotation by w jet.t,
-    tan(w t - w t0) = (g cos w t0 - sin w t0) / (g sin w t0 + cos w t0),
-    which divides by no cosine.
-
-    For sigma near 0 but not 0 (~1e-17 in a jet evaluated from a parabolic
-    family), A, ..., D grow like 1/sqrt|sigma| and cancel in (A g + B)/(C g
-    + D): jets of the result lose about half their digits.
+    S(jet).  It is u + p G(s)/(1 - c G(s)) with s = t - jet.t and c =
+    q/(2p): the member matrix J = (p - c u, u; -c, 1) acting on G matches
+    the 2-jet, and then the third derivative, as S(J G) = S(G) = sigma.
+    With G(s) = P(jet.t)^-1 g(t) the family is J adj P(jet.t), where adj P
+    = det P * P^-1.  For sigma < 0 it raises ValueError when e^{+-k jet.t}
+    leaves the float range: (A, B, C, D) cannot hold that member.
     """
     sigma = schwarzian(jet)
-    u, t0 = jet.u, jet.t
-    if sigma < 0:
-        a = math.sqrt(-2.0 * sigma)  # h = e^{a s}: h(0) = 1, h' = a, h'' = a^2
-        m1 = jet.p / a
-        c = (jet.q - m1 * a * a) / (2.0 * m1 * a * a)
-        k, lam = m1 - c * u, math.exp(-a * t0)
-        return MobiusFamily(k * lam, u - k, -c * lam, 1.0 + c, sigma)
-    w = 1.0 if sigma == 0 else math.sqrt(sigma / 2.0)  # h = s or tan(w s): h(0) = h'' = 0
-    m1 = jet.p / w
-    c = jet.q / (2.0 * m1 * w * w)
-    k = m1 - c * u
-    if sigma == 0:
-        return MobiusFamily(k, u - k * t0, -c, 1.0 + c * t0, sigma)
-    cs, sn = math.cos(w * t0), math.sin(w * t0)
-    return MobiusFamily(k * cs + u * sn, u * cs - k * sn, sn - c * cs, cs + c * sn, sigma)
+    c = jet.q / (2.0 * jet.p)
+    (pa, pb, pc, pd), _ = _shift(sigma, jet.t)
+    j11, u = jet.p - c * jet.u, jet.u
+    return MobiusFamily(j11 * pd - u * pc, u * pa - j11 * pb, -c * pd - pc, c * pb + pa, sigma)
 
 
-def _periodic(phase: float, w: float, t0: float, t1: float) -> list:
-    """The times (phase + k pi) / w inside [t0, t1], ascending."""
-    ks = range(math.ceil((w * t0 - phase) / math.pi), math.floor((w * t1 - phase) / math.pi) + 1)
-    return [t for t in ((phase + k * math.pi) / w for k in ks) if t0 <= t <= t1]
+def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float) -> list:
+    """The s in [lo, hi] where G(s) = x = num/den, ascending:
+
+        sigma > 0:  (atan(w x) + k pi) / w,  with atan(w x) = pi/2 when den = 0
+        sigma = 0:  x
+        sigma < 0:  atanh(k x) / k,          only when |k x| < 1.
+
+    With den = 0 these are the poles of G."""
+    if sigma > 0:
+        w = math.sqrt(sigma / 2.0)
+        phase = math.pi / 2.0 if den == 0.0 else math.atan(w * num / den)
+        ks = range(math.ceil((w * lo - phase) / math.pi), math.floor((w * hi - phase) / math.pi) + 1)
+        out = [(phase + k * math.pi) / w for k in ks]
+    elif den == 0.0:
+        out = []
+    elif sigma == 0:
+        out = [num / den]
+    else:
+        k = math.sqrt(-sigma / 2.0)
+        y = k * num / den
+        out = [math.atanh(y) / k] if abs(y) < 1.0 else []
+    return [s for s in out if lo <= s <= hi]
+
+
+def _pole_level(f: MobiusFamily) -> tuple:
+    """(num, den) = (-delta, gamma) of (A B; C D) P(0): the poles of u are
+    where G(t) = num/den."""
+    (a, b, c, d), _ = _shift(f.sigma, 0.0)
+    return -(f.C * b + f.D * d), f.C * a + f.D * c
 
 
 def family_poles(f: MobiusFamily, t0: float, t1: float) -> list:
     """The times in [t0, t1] where the family member u itself blows up,
-    ascending.  These are the zeros of C g + D,
-
-        sigma < 0:  ln(-D/C) / a                 (only when -D/C > 0)
-        sigma = 0:  -D/C
-        sigma > 0:  (atan(-D/C) + k pi) / w,
-
-    and, when C = 0, the poles of tan(w t): the last formula with
-    atan(-D/C) = pi/2.  With C != 0 a pole of tan(w t) is removable, as u
-    tends to A/C there, and is not listed."""
-    if f.sigma > 0:
-        phase = math.pi / 2.0 if f.C == 0.0 else math.atan(-f.D / f.C)
-        return _periodic(phase, math.sqrt(f.sigma / 2.0), t0, t1)
-    if f.C == 0.0:
-        return []
-    x = -f.D / f.C
-    if f.sigma == 0:
-        ts = [x]
-    else:
-        ts = [math.log(x) / math.sqrt(-2.0 * f.sigma)] if x > 0 else []
-    return [t for t in ts if t0 <= t <= t1]
+    ascending.  With C = 0 (den = 0) these are the poles of G; with C != 0 a
+    pole of G is removable, as u tends to A/C there, and is not listed."""
+    return generator_solve(f.sigma, *_pole_level(f), t0, t1)
 
 
 def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
     """All singular times of the family member in [t0, t1], ascending, in
     closed form: the poles of u (family_poles) and, where C != 0, the poles
-    of the tan generator.  Those are removable for u: family_series
-    evaluates jets there through the shifted generator (u = A/C).  They stay
-    listed so that callers can keep windows away from the generator's poles."""
+    of the tan generator.  Those are removable for u and jets evaluate there
+    (u = A/C); they stay listed so that callers can keep windows away from
+    the generator's poles."""
     if t0 >= t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    out = family_poles(f, t0, t1)
-    if f.sigma > 0 and f.C != 0.0:
-        out = sorted(out + _periodic(math.pi / 2.0, math.sqrt(f.sigma / 2.0), t0, t1))
+    num, den = _pole_level(f)
+    out = generator_solve(f.sigma, num, den, t0, t1)
+    if den != 0.0:
+        out = sorted(out + generator_solve(f.sigma, 1.0, 0.0, t0, t1))
     return out
 
 
@@ -210,15 +202,15 @@ class VerifyReport:
 
 def family_verify(f: MobiusFamily, samples: int, t0: float, t1: float) -> VerifyReport:
     """Check |S(jet) - sigma| and |u'''' - el_rhs(jet)| on an even sample of
-    [t0, t1].  The window must avoid singular times."""
+    [t0, t1].  The jets are closed form, so this measures their rounding.
+    The window must avoid singular times."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     max_s = 0.0
     max_f = 0.0
     for i in range(samples):
         t = t0 + (t1 - t0) * i / (samples - 1)
-        s = family_series(f, t, order=4)
-        jet = Jet4.from_series(s)
+        jet = family_eval_jet(f, t)
         max_s = max(max_s, abs(schwarzian(jet) - f.sigma))
-        max_f = max(max_f, abs(s.derivative(4) - el_rhs(jet)))
+        max_f = max(max_f, abs(family_fourth(f, t) - el_rhs(jet)))
     return VerifyReport(max_s, max_f, samples, (t0, t1))

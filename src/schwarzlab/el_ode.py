@@ -4,20 +4,21 @@ the two first integrals.
 
 Integration stops gracefully (status "stopped-near-singularity") for one of
 two reasons: a pole of u lies ahead, known in closed form from the exact
-solution through the initial jet (closed_form.family_of_jet), as |u'| grows
-without bound there and no event on the state sees it coming; or |p| decays
-below SINGULARITY_FLOOR, where the right-hand side blows up although u stays
-finite (u = e^t / (e^t + 1) as t grows).
+solution through the initial jet, u + p G(s)/(1 - c G(s)) with c = q/(2p)
+(closed_form.generator_solve), as |u'| grows without bound there and no
+event on the state sees it coming; or |p| decays below SINGULARITY_FLOOR,
+where the right-hand side blows up although u stays finite (u = e^t /
+(e^t + 1) as t grows).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from scipy.integrate import solve_ivp
 
-from .closed_form import family_of_jet, family_poles
+from .closed_form import generator_solve
 from .errors import IntegrationError, SingularJetError
 from .schwarzian import Jet4, mercator_c, schwarzian
 
@@ -86,10 +87,9 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     # inside 10*tol relative to scale
     inner = tol / 40.0
     t_stop = t_end
-    # the equation is autonomous: map the jet moved to t = 0, where e^{a t}
-    # stays inside the float range, and shift the poles back
-    fam = family_of_jet(replace(init, t=0.0))
-    poles = family_poles(fam, *sorted((0.0, t_end - init.t)))
+    # the poles of the solution through init, at s = t - init.t
+    c = init.q / (2.0 * init.p)
+    poles = generator_solve(schwarzian(init), 1.0, c, *sorted((0.0, t_end - init.t)))
     if poles:
         dist = min(abs(t) for t in poles)
         margin = min(POLE_MARGIN, 0.5 * dist)

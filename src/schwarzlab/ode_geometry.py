@@ -14,7 +14,7 @@ the same coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .closed_form import MobiusFamily, family_eval_jet
 from .el_ode import Trajectory
@@ -147,18 +147,14 @@ def linearize(field: OdeField, base: BaseSolution, t: float) -> tuple:
 @dataclass(frozen=True)
 class LinearizedOde:
     """The linear fourth-order equation governing infinitesimal perturbations
-    of a fixed base solution, as coefficient functions of t."""
+    of a fixed base solution; linearize gives its coefficients at each t."""
 
-    a1: Callable
-    a2: Callable
-    a3: Callable
+    field: OdeField
+    base: BaseSolution
 
     @classmethod
     def along(cls, field: OdeField, base: BaseSolution) -> "LinearizedOde":
-        def coefficient(i):
-            return lambda t: linearize(field, base, t)[i]
-
-        return cls(coefficient(0), coefficient(1), coefficient(2))
+        return cls(field, base)
 
 
 def _derivs_to_4(fn: Union[str, Expr], t: float) -> list:
@@ -175,9 +171,9 @@ def verify_linear_basis(lin: LinearizedOde, basis: Sequence, ts: Sequence) -> fl
     """Max residual |v'''' - a3 v''' - a2 v'' - a1 v'| over basis x ts.
     Basis functions are t-only expressions (strings or Expr trees)."""
     worst = 0.0
-    for fn in basis:
-        for t in ts:
+    for t in ts:
+        a1, a2, a3 = linearize(lin.field, lin.base, t)
+        for fn in basis:
             v0, v1, v2, v3, v4 = _derivs_to_4(fn, t)
-            resid = v4 - lin.a3(t) * v3 - lin.a2(t) * v2 - lin.a1(t) * v1
-            worst = max(worst, abs(resid))
+            worst = max(worst, abs(v4 - a3 * v3 - a2 * v2 - a1 * v1))
     return worst

@@ -1,17 +1,16 @@
 """Shared helpers for the test suite: seeded random jets, families with
 pole-free windows, random expression trees, a symbolic substitution
-utility used as an independent oracle, the exact jet of a family as the
-integrator's oracle, and a solver that gives up."""
+utility used as an independent oracle, the exact jet of a family by mpmath
+as the oracle of the closed form and the integrator, and a solver that
+gives up."""
 
-import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from schwarzlab import el_ode
-from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_singularities
+from schwarzlab.closed_form import MobiusFamily, family_singularities
 from schwarzlab.errors import SchwarzLabError
 from schwarzlab.schwarzian import Jet4
 from schwarzlab.symbolics import Add, Const, Div, Expr, Func, Mul, Neg, Pow, Sub, Var
@@ -151,17 +150,29 @@ def mobius_of_jet(jet: Jet4, a: float, b: float, c: float, d: float) -> Jet4:
     return Jet4.from_series((a * u + b) / (c * u + d))
 
 
+def exact_derivatives(family, t, n=4):
+    """u, u', ..., u^(n) of the family member at t: mpmath differentiates the
+    composite (A g + B)/(C g + D) in g = e^{a t}, t or tan(w t) at 30 digits.
+    Makes no call into closed_form, so it is an independent oracle."""
+    mpmath = pytest.importorskip("mpmath")
+    A, B, C, D, sigma = (mpmath.mpf(x) for x in (family.A, family.B, family.C, family.D, family.sigma))
+
+    def u(x):
+        if sigma < 0:
+            g = mpmath.exp(mpmath.sqrt(-2 * sigma) * x)
+        elif sigma == 0:
+            g = x
+        else:
+            g = mpmath.tan(mpmath.sqrt(sigma / 2) * x)
+        return (A * g + B) / (C * g + D)
+
+    with mpmath.workdps(30):
+        return [float(d) for d in mpmath.diffs(u, mpmath.mpf(t), n)]
+
+
 def exact_jet(family, t):
-    """The family's jet at t from its closed form.  Near a pole of tan(w t)
-    the composite (A g + B)/(C g + D) cancels large terms, so there the same
-    member is evaluated through h = tan(w t - pi/2) = -1/g instead:
-    u = (B h - A)/(D h - C), whose generator stays in [-1, 1]."""
-    if family.sigma > 0.0:
-        w = math.sqrt(family.sigma / 2.0)
-        if abs(math.tan(w * t)) > 1.0:
-            f = MobiusFamily(family.B, -family.A, family.D, -family.C, family.sigma)
-            return replace(family_eval_jet(f, t - math.pi / (2.0 * w)), t=t)
-    return family_eval_jet(family, t)
+    """The family's jet at t from the mpmath oracle."""
+    return Jet4(t, *exact_derivatives(family, t, 3))
 
 
 def max_rel_error(got: Jet4, want: Jet4) -> float:

@@ -7,14 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
+from conftest import (
+    exact_derivatives,
+    exact_jet,
+    max_rel_error,
+    nonsingular_window,
+    random_family,
+    random_jet,
+)
 from schwarzlab.closed_form import (
+    POLE_EPS,
     MobiusFamily,
     family_eval_jet,
     family_fourth,
     family_of_jet,
     family_poles,
-    family_series,
     family_singularities,
     family_verify,
 )
@@ -92,6 +99,18 @@ def test_eval_at_singular_time_raises():
         family_eval_jet(MobiusFamily(1, 0, 0, 1, 2.0), math.pi / 2.0)
 
 
+def test_pole_window_is_a_time_window():
+    # POLE_EPS bounds the distance in t to the pole, whatever the scale of u
+    fam = MobiusFamily(0, 1, 1, -1, 0.0)  # u = 1/(t - 1)
+    with pytest.raises(SingularTimeError):
+        family_eval_jet(fam, 1.0 + 0.5 * POLE_EPS)
+    assert family_eval_jet(fam, 1.0 + 2.0 * POLE_EPS).p == pytest.approx(-1.0 / (2.0 * POLE_EPS) ** 2)
+    # u = e^{2t} has no pole: far out its recentred denominator is e^{-25}
+    jet = family_eval_jet(MobiusFamily(1, 0, 0, 1, -2.0), 25.0)
+    want = np.exp(50.0) * np.array([1.0, 2.0, 4.0, 8.0])
+    assert np.allclose(jet.as_tuple()[1:], want, rtol=1e-13, atol=0)
+
+
 def test_verify_examples():
     parabolic = family_verify(MobiusFamily(2, 1, 1, 3, 0.0), 100, 0.0, 1.0)
     assert parabolic.max_schwarzian_residual <= 1e-10
@@ -165,11 +184,35 @@ def test_integrator_agreement_with_closed_form():
             done += 1
 
 
-def test_fourth_derivative_matches_series():
-    fam = MobiusFamily(1, 0, 0, 1, 2.0)
-    t = 0.3
-    series = family_series(fam, t, order=4)
-    assert family_fourth(fam, t) == series.derivative(4)
+def _assert_matches_oracle(fam, t):
+    want = exact_derivatives(fam, t)
+    assert max_rel_error(family_eval_jet(fam, t), Jet4(t, *want[:4])) <= 1e-12, (fam, t)
+    assert abs(family_fourth(fam, t) - want[4]) <= 1e-12 * max(1.0, abs(want[4])), (fam, t)
+
+
+def test_jets_and_fourth_derivative_match_mpmath_oracle():
+    rng = np.random.default_rng(26)
+    for cls in ("hyperbolic", "parabolic", "elliptic"):
+        done = 0
+        while done < 20:
+            fam = random_family(rng, cls)
+            window = nonsingular_window(fam)
+            if window is None:
+                continue
+            for t in rng.uniform(*window, size=3):
+                _assert_matches_oracle(fam, float(t))
+            done += 1
+    # next to a removable pole of tan(w t), where u stays finite
+    done = 0
+    while done < 40:
+        fam = random_family(rng, "elliptic")
+        w = math.sqrt(fam.sigma / 2.0)
+        offset = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -2))
+        t = (math.pi / 2.0 + math.pi * int(rng.integers(-1, 2))) / w + offset
+        if fam.C == 0.0 or family_poles(fam, t - 0.2, t + 0.2):
+            continue
+        _assert_matches_oracle(fam, t)
+        done += 1
 
 
 def test_json_round_trip():
@@ -226,3 +269,10 @@ def test_family_of_jet_reproduces_poles():
             assert len(got) == len(want), (fam, t, got, want)
             assert np.allclose(got, want, rtol=0, atol=1e-8), (fam, t, got, want)
             done += 1
+
+
+@pytest.mark.parametrize("t0", [100.0, -100.0])
+def test_family_of_jet_outside_the_float_range(t0):
+    # sigma = -200, k = 10: e^{+-k t0} = e^{+-1000} overflows
+    with pytest.raises(ValueError, match="outside the float range"):
+        family_of_jet(Jet4(t0, 0.0, 1.0, 0.0, -200.0))

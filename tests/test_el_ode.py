@@ -10,6 +10,7 @@ import pytest
 from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_of_jet
 from schwarzlab.el_ode import (
+    POLE_MARGIN,
     STATUS_COMPLETED,
     STATUS_STOPPED,
     integrate,
@@ -18,7 +19,7 @@ from schwarzlab.el_ode import (
     write_csv,
 )
 from schwarzlab.errors import IntegrationError, SingularJetError
-from schwarzlab.schwarzian import Jet4
+from schwarzlab.schwarzian import Jet4, schwarzian
 
 TAN_FAMILY = MobiusFamily(1, 0, 0, 1, 2.0)
 EXP2_FAMILY = MobiusFamily(1, 0, 0, 1, -2.0)
@@ -212,3 +213,40 @@ def test_runs_through_a_removable_tan_pole():
     traj = integrate(exact_jet(cot, 0.5), 2.5, tol)
     assert traj.status == STATUS_COMPLETED and traj.t_final == 2.5
     assert max_rel_error(traj.final, exact_jet(cot, 2.5)) <= 10 * tol
+
+
+def test_stops_before_near_parabolic_poles():
+    # exact jets of parabolic families carry a rounding-level S, not 0; the stop
+    # must still sit POLE_MARGIN before the pole -D/C, in either direction
+    rng = np.random.default_rng(32)
+    done = 0
+    while done < 200:
+        fam = random_family(rng, "parabolic")
+        if abs(fam.C) < 0.1:
+            continue
+        pole = -fam.D / fam.C
+        ahead = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
+        jet = exact_jet(fam, pole - ahead)
+        if schwarzian(jet) == 0.0:
+            continue
+        traj = integrate(jet, pole + math.copysign(0.5, ahead), 1e-3)  # t_final does not depend on tol
+        assert traj.status == STATUS_STOPPED
+        assert abs(traj.t_final - (pole - math.copysign(POLE_MARGIN, ahead))) <= 1e-12, (fam, jet)
+        done += 1
+
+
+@pytest.mark.parametrize("t0", [100.0, -100.0])
+@pytest.mark.parametrize("step", [0.5, -0.5])
+def test_integrate_a_member_no_family_can_hold(t0, step, monkeypatch):
+    # S = -200, k = 10: e^{+-k t0} leaves the float range, so no
+    # MobiusFamily holds this member; integrate must not build one
+    def no_family(self):
+        raise AssertionError("integrate built a MobiusFamily")
+
+    monkeypatch.setattr(MobiusFamily, "__post_init__", no_family)
+    tol = 1e-8
+    traj = integrate(Jet4(t0, 0.0, 1.0, 0.0, -200.0), t0 + step, tol)
+    assert traj.status == STATUS_COMPLETED and traj.t_final == t0 + step
+    # the member is u = tanh(10 s)/10, s = t - t0
+    assert abs(traj.final.u - math.tanh(10.0 * step) / 10.0) <= 10 * tol
+    assert abs(traj.final.p - 1.0 / math.cosh(10.0 * step) ** 2) <= 10 * tol
