@@ -19,8 +19,9 @@ recentres them on G: g(t + s) = P(t) G(s) as Moebius maps, with
 With (A B; C D) P(t) = (alpha beta; gamma delta) the member near t is
 u(t + s) = u + p G(s)/(1 - c G(s)): u = beta/delta, p = det/delta^2,
 c = -gamma/delta.  Its jet is closed form in (p, c, sigma), see
-family_eval_jet, and its poles are where G(s) = 1/c (generator_solve).
-family_of_jet inverts the product.
+family_eval_jet, and its poles are where G(s) = 1/c.  The family's own
+poles are where C g + D = 0; generator_solve gives both.  family_of_jet
+inverts the product.
 """
 
 from __future__ import annotations
@@ -129,23 +130,36 @@ def family_of_jet(jet: Jet4) -> MobiusFamily:
     return MobiusFamily(j11 * pd - u * pc, u * pa - j11 * pb, -c * pd - pc, c * pb + pa, sigma)
 
 
-def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float) -> list:
-    """The s in [lo, hi] where G(s) = x = num/den, ascending:
+def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float, public: bool = False) -> list:
+    """The s in [lo, hi] where G(s) = num/den, or with public where the
+    generator g(s) = tan(ws), s or e^{2ks} of the public form does, ascending:
 
-        sigma > 0:  (atan(w x) + k pi) / w,  with atan(w x) = pi/2 when den = 0
-        sigma = 0:  x
-        sigma < 0:  atanh(k x) / k,          only when |k x| < 1.
+        sigma > 0:  (atan(x) + k pi) / w,  x = w num/den (G) or num/den (g),
+                    with atan(x) = pi/2 when den = 0
+        sigma = 0:  num/den
+        sigma < 0:  atanh(k num/den) / k  (G, when |k num/den| < 1) or
+                    ln(num/den) / (2k)    (g, when num/den > 0).
 
-    With den = 0 these are the poles of G."""
+    A family's poles are where C g + D = 0, so its level -D/C is solved in g:
+    read in G it would mix C and D, and tanh(ks) rounds to 1 beyond ks = 19.
+    A jet's level 1/c is solved in G, where atanh keeps the digits of a small
+    k.  With den = 0 these are the poles of G and g."""
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
-        phase = math.pi / 2.0 if den == 0.0 else math.atan(w * num / den)
+        phase = math.pi / 2.0 if den == 0.0 else math.atan(num / den if public else w * num / den)
         ks = range(math.ceil((w * lo - phase) / math.pi), math.floor((w * hi - phase) / math.pi) + 1)
         out = [(phase + k * math.pi) / w for k in ks]
     elif den == 0.0:
         out = []
     elif sigma == 0:
         out = [num / den]
+    elif public:
+        x = num / den
+        out = []
+        if x > 0:
+            # for x in [1/2, 2] num - den is exact, and log1p keeps its digits
+            lg = math.log1p((num - den) / den) if 0.5 <= x <= 2.0 else math.log(x)
+            out = [lg / math.sqrt(-2.0 * sigma)]
     else:
         k = math.sqrt(-sigma / 2.0)
         y = k * num / den
@@ -153,18 +167,12 @@ def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float) 
     return [s for s in out if lo <= s <= hi]
 
 
-def _pole_level(f: MobiusFamily) -> tuple:
-    """(num, den) = (-delta, gamma) of (A B; C D) P(0): the poles of u are
-    where G(t) = num/den."""
-    (a, b, c, d), _ = _shift(f.sigma, 0.0)
-    return -(f.C * b + f.D * d), f.C * a + f.D * c
-
-
 def family_poles(f: MobiusFamily, t0: float, t1: float) -> list:
-    """The times in [t0, t1] where the family member u itself blows up,
-    ascending.  With C = 0 (den = 0) these are the poles of G; with C != 0 a
-    pole of G is removable, as u tends to A/C there, and is not listed."""
-    return generator_solve(f.sigma, *_pole_level(f), t0, t1)
+    """The times in [t0, t1] where the family member u itself blows up, the
+    zeros of C g + D, ascending.  With C = 0 these are the poles of g; with
+    C != 0 a pole of tan(wt) is removable, as u tends to A/C there, and is
+    not listed."""
+    return generator_solve(f.sigma, -f.D, f.C, t0, t1, public=True)
 
 
 def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
@@ -175,11 +183,8 @@ def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
     the generator's poles."""
     if t0 >= t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    num, den = _pole_level(f)
-    out = generator_solve(f.sigma, num, den, t0, t1)
-    if den != 0.0:
-        out = sorted(out + generator_solve(f.sigma, 1.0, 0.0, t0, t1))
-    return out
+    tan_poles = generator_solve(f.sigma, 1.0, 0.0, t0, t1) if f.C != 0.0 else []
+    return sorted(family_poles(f, t0, t1) + tan_poles)
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,6 @@ class LinearizedOde:
     field: OdeField
     base: BaseSolution
 
-    @classmethod
-    def along(cls, field: OdeField, base: BaseSolution) -> "LinearizedOde":
-        return cls(field, base)
-
 
 def _derivs_to_4(fn: Union[str, Expr], t: float) -> list:
     """Value and first four derivatives of a t-only expression at t."""

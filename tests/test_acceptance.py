@@ -80,12 +80,12 @@ def test_criterion_2_linearization_table():
         T = math.tan(t)
         a1, a2, a3 = linearize(EL, TAN_BASE, t)
         worst = max(worst, abs(a1 + 16.0 * T), abs(a2 - (8.0 - 12.0 * T * T)), abs(a3 - 8.0 * T))
-    poly = verify_linear_basis(LinearizedOde.along(EL, LINE_BASE), ["t^3", "t^2", "t", "1"], ts)
+    poly = verify_linear_basis(LinearizedOde(EL, LINE_BASE), ["t^3", "t^2", "t", "1"], ts)
     expo = verify_linear_basis(
-        LinearizedOde.along(EL, EXP_BASE), ["exp(t)", "t*exp(t)", "exp(2*t)", "1"], ts
+        LinearizedOde(EL, EXP_BASE), ["exp(t)", "t*exp(t)", "exp(2*t)", "1"], ts
     )
     tang = verify_linear_basis(
-        LinearizedOde.along(EL, TAN_BASE), ["tan(t)", "t/cos(t)^2", "tan(t)^2", "1"], ts
+        LinearizedOde(EL, TAN_BASE), ["tan(t)", "t/cos(t)^2", "tan(t)^2", "1"], ts
     )
     basis_worst = max(poly, expo, tang)
     ok = worst <= 1e-10 and basis_worst <= 1e-8

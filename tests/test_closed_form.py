@@ -28,6 +28,7 @@ from schwarzlab.closed_form import (
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import SingularTimeError
 from schwarzlab.schwarzian import Jet4, schwarzian
+from schwarzlab.variation import MobiusCurve
 
 
 def test_family_class_by_sign():
@@ -78,6 +79,18 @@ def test_singularities_exp_denominator_zero():
     out = family_singularities(fam, 0.0, 3.0)
     assert len(out) == 1
     assert abs(out[0] - math.log(2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e16, 1e12, 1e-12, 1e-16])
+def test_steep_hyperbolic_poles_far_from_t0(ratio):
+    # e^{20 t} = -D/C with |D/C| far from 1: the pole is ln(-D/C)/20 to
+    # rounding, also where tanh(10 t) has rounded to +-1
+    fam = MobiusFamily(1.0, 0.0, 1.0, -ratio, -200.0)
+    want = math.log(ratio) / 20.0
+    assert family_poles(fam, -3.0, 3.0) == pytest.approx([want], rel=0, abs=1e-13)
+    assert family_singularities(fam, -3.0, 3.0) == pytest.approx([want], rel=0, abs=1e-13)
+    with pytest.raises(SingularTimeError):
+        MobiusCurve(fam, (min(0.0, want) - 0.5, max(0.0, want) + 0.5))
 
 
 def test_singularities_elliptic_denominator_zeros():

@@ -134,11 +134,11 @@ def test_linearize_along_trajectory():
 
 def test_basis_residuals():
     ts = np.linspace(0.0, 1.0, 20)
-    poly = LinearizedOde.along(EL, LINE_BASE)
+    poly = LinearizedOde(EL, LINE_BASE)
     assert verify_linear_basis(poly, POLY_BASIS, ts) == 0.0
-    expo = LinearizedOde.along(EL, EXP_BASE)
+    expo = LinearizedOde(EL, EXP_BASE)
     assert verify_linear_basis(expo, EXP_BASIS, ts) <= 1e-9
-    tang = LinearizedOde.along(EL, TAN_BASE)
+    tang = LinearizedOde(EL, TAN_BASE)
     assert verify_linear_basis(tang, TAN_BASIS, ts) <= 1e-8
 
 
@@ -146,6 +146,6 @@ def test_general_field_engine():
     # u'''' = u has v'''' = v as its own linearization; cos/sin/exp solve it
     field = OdeField.from_expression("u")
     assert eval_scalar(field.Fp, Jet4(0, 0, 1, 0, 0)) == 0.0
-    lin = LinearizedOde.along(field, LINE_BASE)
+    lin = LinearizedOde(field, LINE_BASE)
     resid = verify_linear_basis(lin, ["t^3", "t^2", "t", "1"], [0.0, 0.5])
     assert resid == 0.0  # cubic polynomials are annihilated by v'''' and the rhs is 0 on them
