@@ -39,8 +39,8 @@ POLE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class MobiusFamily:
-    """Moebius parameters (A, B, C, D) with AD - BC != 0, plus the target
-    constant sigma realised by S(u)."""
+    """Finite Moebius parameters (A, B, C, D) with AD - BC != 0, plus the
+    finite target constant sigma realised by S(u)."""
 
     A: float
     B: float
@@ -49,6 +49,8 @@ class MobiusFamily:
     sigma: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.A, self.B, self.C, self.D, self.sigma)):
+            raise ValueError(f"family parameters must be finite, got {self}")
         if self.determinant == 0.0:
             raise ValueError("degenerate Moebius parameters: AD - BC = 0")
 
@@ -69,7 +71,17 @@ class MobiusFamily:
 
     @classmethod
     def from_json(cls, text: str) -> "MobiusFamily":
-        d = json.loads(text)
+        """The family of a JSON object with numbers A, B, C, D and sigma;
+        ValueError names a missing or non-numeric key."""
+        # integers parse as floats, so one past the float range reads inf
+        d = json.loads(text, parse_int=float)
+        if not isinstance(d, dict):
+            raise ValueError(f"family JSON must be an object with keys A, B, C, D, sigma, got {text}")
+        for key in ("A", "B", "C", "D", "sigma"):
+            if key not in d:
+                raise ValueError(f"family JSON has no key {key!r}")
+            if not isinstance(d[key], float):
+                raise ValueError(f"family JSON key {key!r} is not a number: {d[key]!r}")
         return cls(d["A"], d["B"], d["C"], d["D"], d["sigma"])
 
 
@@ -143,7 +155,10 @@ def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float, 
     A family's poles are where C g + D = 0, so its level -D/C is solved in g:
     read in G it would mix C and D, and tanh(ks) rounds to 1 beyond ks = 19.
     A jet's level 1/c is solved in G, where atanh keeps the digits of a small
-    k.  With den = 0 these are the poles of G and g."""
+    k.  With den = 0 these are the poles of G and g.  A window that is not
+    finite raises ValueError."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"need a finite window, got [{lo}, {hi}]")
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
         phase = math.pi / 2.0 if den == 0.0 else math.atan(num / den if public else w * num / den)
@@ -180,8 +195,8 @@ def family_singularities(f: MobiusFamily, t0: float, t1: float) -> list:
     closed form: the poles of u (family_poles) and, where C != 0, the poles
     of the tan generator.  Those are removable for u and jets evaluate there
     (u = A/C); they stay listed so that callers can keep windows away from
-    the generator's poles."""
-    if t0 >= t1:
+    the generator's poles.  Raises ValueError unless t0 < t1, both finite."""
+    if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
     tan_poles = generator_solve(f.sigma, 1.0, 0.0, t0, t1) if f.C != 0.0 else []
     return sorted(family_poles(f, t0, t1) + tan_poles)

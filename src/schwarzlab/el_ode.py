@@ -78,7 +78,10 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with adaptive
     local error control at tol.  Works in either time direction.  Stops
     POLE_MARGIN before the first pole of u on the way (or halfway to a pole
-    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR."""
+    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR.
+    A jet or t_end that is not finite raises ValueError."""
+    if not all(math.isfinite(x) for x in (*init.as_tuple(), t_end)):
+        raise ValueError(f"need a finite jet and t_end, got {init.as_tuple()} and {t_end}")
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if abs(init.p) < SINGULARITY_FLOOR:

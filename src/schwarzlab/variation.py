@@ -7,6 +7,11 @@ first variation in all its equivalent integral forms (with their boundary
 terms kept separate), a finite-difference cross-check, the integrating-factor
 solver for D_u(v) = phi, the admissible-variation construction that meets the
 second-order endpoint condition, and the resulting critical-point test.
+
+Every integral here runs on one panel rule (_panels): the interval is split
+at the integrand's breakpoints and each panel is bisected until the two
+trailing coefficients of its CHEB_N-point Chebyshev interpolant are
+negligible; the panel's integral is then exact for that interpolant.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
-from scipy.integrate import quad
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
 from scipy.interpolate import CubicSpline
 
 from .closed_form import MobiusFamily, family_eval_jet, family_fourth, family_poles
@@ -27,29 +31,68 @@ from .errors import InfeasibleVariationError, QuadratureError, SingularJetError,
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian, schwarzian
 from .symbolics import Expr, TaylorScalar, parse, taylor_eval, variables_of
 
-QUAD_EPS = 1e-12
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
 CURVE_U_ROUNDING = 1e-12
 
 FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 
-# DuSolution's Chebyshev panels: CHEB_N nodes each; a panel is bisected until its
-# two trailing coefficients are <= CHEB_TAIL * the largest initial coefficient
+# Chebyshev panels: CHEB_N nodes each; a panel is bisected until its two trailing
+# coefficients are <= CHEB_TAIL * the largest initial coefficient
 CHEB_N = 20
 CHEB_TAIL = 1e-13
 CHEB_MAX_PANELS = 500
+# absolute floor of that test in _quad, so an integrand of pure rounding noise
+# (du_factored on an S = 0 curve) is accepted
+QUAD_EPS = 1e-12
+
+_CHEB_NODES = chebpts1(CHEB_N)
+# values at the nodes -> coefficients, as chebinterpolate computes them
+_CHEB_FIT = chebvander(_CHEB_NODES, CHEB_N - 1).T * (2.0 / CHEB_N)
+_CHEB_FIT[0] /= 2.0
+# coefficients -> those of the antiderivative that vanishes at -1
+_CHEB_INT = chebint(np.eye(CHEB_N), lbnd=-1.0)
+
+
+def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list:
+    """Chebyshev panels that resolve an integrand on [a, b], left to right.
+
+    sample(ts) gives the integrand at the nodes ts of a panel, one row a node
+    (one column an integrand).  [a, b] is split at the breakpoints inside it,
+    and each panel is bisected until its two trailing coefficients are <=
+    max(CHEB_TAIL * scale, floor), scale the largest coefficient of the
+    initial panels.  Returns (lo, hi, coefficients of the antiderivative on
+    [lo, hi] that vanishes at lo) per panel; its value at hi is its sum, as
+    T_j(1) = 1.  Raises QuadratureError past CHEB_MAX_PANELS panels."""
+    def fit(lo, hi):
+        return _CHEB_FIT @ sample(0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES)
+
+    edges = sorted({a, b} | {float(x) for x in breakpoints if a < x < b})
+    # leftmost panel last, so pop() walks the interval from a to b
+    stack = [(lo, hi, fit(lo, hi)) for lo, hi in reversed(list(zip(edges[:-1], edges[1:])))]
+    tol = max(CHEB_TAIL * max((np.abs(coef).max() for *_, coef in stack), default=0.0), floor)
+    done = []
+    while stack:
+        lo, hi, coef = stack.pop()
+        tail = np.abs(coef[-2:]).max()
+        if tail > tol:
+            if len(done) + len(stack) >= CHEB_MAX_PANELS:
+                raise QuadratureError(f"quadrature over [{a:g}, {b:g}] did not converge: not resolved in "
+                                      f"{CHEB_MAX_PANELS} Chebyshev panels near t = {lo:g}", tail * (hi - lo))
+            m = 0.5 * (lo + hi)
+            stack += [(m, hi, fit(m, hi)), (lo, m, fit(lo, m))]
+            continue
+        done.append((lo, hi, 0.5 * (hi - lo) * (_CHEB_INT @ coef)))
+    return done
 
 
 def _quad(fn, a, b, breakpoints=()):
-    pts = sorted({float(x) for x in breakpoints if a < x < b})
-    out = quad(fn, a, b, points=pts or None, epsabs=QUAD_EPS, epsrel=QUAD_EPS,
-               limit=500, full_output=1)
-    # full_output suppresses scipy's warning; a 4th element is its message
-    if len(out) >= 4:
-        message = " ".join(out[3].split())
-        raise QuadratureError(f"quadrature over [{a:g}, {b:g}] did not converge: {message}", out[1])
-    return out[0]
+    """int_a^b fn(t) dt for a scalar fn, as the sum of the _panels integrals,
+    with the absolute floor QUAD_EPS on the trailing coefficients."""
+    if b < a:
+        return -_quad(fn, b, a, breakpoints)
+    panels = _panels(lambda ts: np.array([fn(t) for t in ts.tolist()]), a, b, breakpoints, QUAD_EPS)
+    return float(sum(antideriv.sum() for *_, antideriv in panels))
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +100,11 @@ def _quad(fn, a, b, breakpoints=()):
 # ---------------------------------------------------------------------------
 
 class CurveFn:
-    """Base class.  Subclasses provide jet(t); construction samples the jet on
-    a grid and rejects curves that come too close to u' = 0, or whose u moves
-    against the sign of u' between two samples: by the mean value theorem a
-    continuous u cannot, so a pole lies between them."""
+    """Base class.  Subclasses provide jet(t); construction rejects a domain
+    that is not finite with t0 < t1, samples the jet on a grid and rejects
+    curves that come too close to u' = 0, or whose u moves against the sign
+    of u' between two samples: by the mean value theorem a continuous u
+    cannot, so a pole lies between them."""
 
     domain: tuple
     breakpoints: tuple = ()
@@ -76,6 +120,8 @@ class CurveFn:
 
     def _check_regular(self, n: int = 101):
         t0, t1 = self.domain
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+            raise ValueError(f"curve {self.describe()} needs a finite domain t0 < t1, got [{t0}, {t1}]")
         last_sign, last_u = 0.0, 0.0
         for i in range(n):
             t = t0 + (t1 - t0) * i / (n - 1)
@@ -302,10 +348,12 @@ class DuSolution(VariationFn):
         v(t) = u'(t) * (k0 + W(t)),   k0 = v0 / u'(t0),   W(t) = int_t0^t phi/u' dtau
 
     (u' spans the kernel of D_u, and D_u(u' W) = u' W' = phi).  W is the
-    running integral of Chebyshev interpolants of phi/u' on panels split at
-    phi's breakpoints and bisected until resolved.  Since D_u(v) = phi, the
-    Schwarzian form of delta I_S along v integrates S(u) phi/u'; that
-    integral comes from the same panel jets as `schwarzian_integral`.
+    running integral of Chebyshev interpolants of phi/u' on the panels of
+    _panels, the rule every integral of this module uses, split at phi's
+    breakpoints.  Their test has no absolute floor, so W is resolved relative
+    to phi/u' at any scale.  Since D_u(v) = phi, the Schwarzian form of
+    delta I_S along v integrates S(u) phi/u'; that integral comes from the
+    same panel jets as `schwarzian_integral`.
     """
 
     def __init__(self, u: CurveFn, phi: VariationFn, v0: float, t0: float, t1: float):
@@ -314,43 +362,23 @@ class DuSolution(VariationFn):
         self.t0, self.t1 = float(t0), float(t1)
         self.k0 = float(v0) / u.jet(t0).p
         self.breakpoints = tuple(phi.breakpoints)
-        edges = sorted({self.t0, self.t1}
-                       | {float(x) for x in phi.breakpoints if self.t0 < x < self.t1})
-        # leftmost panel last, so pop() walks the interval from t0 to t1
-        stack = [(a, b, self._interpolate(a, b))
-                 for a, b in reversed(list(zip(edges[:-1], edges[1:])))]
-        scale = max(np.abs(coef).max() for _, _, coef in stack)
-        self._pieces = []
-        total = np.zeros(2)  # running (W, int S phi/u')
-        while stack:
-            a, b, coef = stack.pop()
-            tail = np.abs(coef[-2:]).max()
-            if tail > CHEB_TAIL * scale:
-                if len(self._pieces) + len(stack) >= CHEB_MAX_PANELS:
-                    raise QuadratureError(f"phi/u' not resolved in {CHEB_MAX_PANELS} Chebyshev "
-                                          f"panels near t = {a:g}", abserr=tail * (b - a))
-                m = 0.5 * (a + b)
-                stack += [(m, b, self._interpolate(m, b)), (a, m, self._interpolate(a, m))]
-                continue
-            antideriv = chebint(coef, lbnd=-1.0, scl=0.5 * (b - a))
-            self._pieces.append((a, b, float(total[0]), antideriv[:, 0]))
-            total += antideriv.sum(axis=0)  # T_j(1) = 1
-        self.schwarzian_integral = float(total[1])
 
-    def _interpolate(self, a: float, b: float) -> np.ndarray:
-        """Chebyshev coefficients of phi/u' and S(u) phi/u' (two columns) on
-        [a, b]; no jet is evaluated where phi vanishes."""
-        def sample(xs):
-            fg = np.zeros((len(xs), 2))
-            for k, x in enumerate(xs.tolist()):
-                t = 0.5 * (a + b) + 0.5 * (b - a) * x
-                phi = self.phi.value(t)
-                if phi:
-                    jet = self.u.jet(t)
-                    fg[k] = (phi / jet.p, schwarzian(jet) * phi / jet.p)
+        def sample(ts):
+            # no jet is evaluated where phi vanishes
+            fg = np.zeros((len(ts), 2))
+            for k, t in enumerate(ts.tolist()):
+                phi_t = phi.value(t)
+                if phi_t:
+                    jet = u.jet(t)
+                    fg[k] = (phi_t / jet.p, schwarzian(jet) * phi_t / jet.p)
             return fg
 
-        return chebinterpolate(sample, CHEB_N - 1)
+        self._pieces = []
+        total = np.zeros(2)  # running (W, int S phi/u')
+        for a, b, antideriv in _panels(sample, self.t0, self.t1, phi.breakpoints):
+            self._pieces.append((a, b, float(total[0]), antideriv[:, 0]))
+            total += antideriv.sum(axis=0)
+        self.schwarzian_integral = float(total[1])
 
     def _cumulative(self, t: float) -> float:
         t = min(max(t, self.t0), self.t1)
@@ -528,30 +556,20 @@ def delta_fd(which: str, u: CurveFn, v: VariationFn, h: float = 1e-5,
 
 
 def _integrand(which_form: str, u: CurveFn, v: VariationFn):
-    if which_form == "direct":
-        def f(t):
-            j = u.jet(t)
-            _, v1, v2, _ = v.derivs3(t)
-            return 2.0 * j.q * v2 / j.p ** 2 - 2.0 * j.q ** 2 * v1 / j.p ** 3
-    elif which_form == "by_parts":
-        def f(t):
-            j = u.jet(t)
-            v1 = v.derivs3(t)[1]
-            return (-2.0 * j.r / j.p ** 2 + 2.0 * j.q ** 2 / j.p ** 3) * v1
-    elif which_form == "du_factored":
-        def f(t):
-            j = u.jet(t)
-            v0, v1, _, _ = v.derivs3(t)
-            du = v1 - (j.q / j.p) * v0
-            return (-2.0 * j.r / j.p + 3.0 * j.q ** 2 / j.p ** 2) * du / j.p
-    elif which_form == "schwarzian":
-        def f(t):
-            j = u.jet(t)
-            v0, v1, _, _ = v.derivs3(t)
-            du = v1 - (j.q / j.p) * v0
-            return schwarzian(j) * du / j.p
-    else:
+    if which_form not in FORMS:
         raise ValueError(f"unknown form {which_form!r}; expected one of {FORMS}")
+
+    def f(t):
+        j = u.jet(t)
+        v0, v1, v2, _ = v.derivs3(t)
+        du = v1 - (j.q / j.p) * v0
+        if which_form == "direct":
+            return 2.0 * j.q * v2 / j.p ** 2 - 2.0 * j.q ** 2 * v1 / j.p ** 3
+        if which_form == "by_parts":
+            return (-2.0 * j.r / j.p ** 2 + 2.0 * j.q ** 2 / j.p ** 3) * v1
+        if which_form == "du_factored":
+            return (-2.0 * j.r / j.p + 3.0 * j.q ** 2 / j.p ** 2) * du / j.p
+        return schwarzian(j) * du / j.p
     return f
 
 
@@ -631,9 +649,11 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
     v = u' W with W' = phi/u', D_u(v) = phi, so each probe is the linear
     functional int S(u) phi/u' dt + glue integral + B| (delta_IS), with no
     ODE solve.  The variations live on u's domain, so [t0, t1] must be that
-    domain; any other interval raises ValueError."""
+    domain; any other interval raises ValueError, as does n < 1."""
     if (t0, t1) != u.domain:
         raise ValueError(f"interval ({t0:g}, {t1:g}) is not the curve's domain {u.domain}")
+    if n < 1:
+        raise ValueError(f"need at least one probe, got n = {n}")
     span = t1 - t0
     if eps is None:
         eps = 0.05 * span

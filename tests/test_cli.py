@@ -3,6 +3,7 @@ config-file handling."""
 
 import json
 import math
+import signal
 
 import pytest
 
@@ -250,6 +251,52 @@ def test_log_env_var(monkeypatch, capsys):
 def test_variation_requires_curve(capsys):
     code, _, err = run(["variation", "--interval", "0,1", "--n", "3"], capsys)
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# input that must be refused without a traceback
+# ---------------------------------------------------------------------------
+
+class TooSlow(BaseException):
+    """Raised by the alarm; not an Exception, so main() cannot catch it."""
+
+
+def _too_slow(signum, frame):
+    raise TooSlow("no answer within 5 s")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["integrate", "--jet", "0,0,1,0,0", "--t-end", "nan"], id="integrate-t-end-nan"),
+    pytest.param(["integrate", "--jet", "0,0,1,0,0", "--t-end", "inf"], id="integrate-t-end-inf"),
+    pytest.param(["integrate", "--jet", "nan,0,1,0,0", "--t-end", "1"], id="integrate-jet-nan"),
+    pytest.param(["variation", "--u", "t", "--interval", "nan,1"], id="variation-interval-nan"),
+    pytest.param(["variation", "--u", "t", "--interval", "0,inf"], id="variation-interval-inf"),
+    pytest.param(["variation", "--mobius", '{"A":1,"B":0,"C":0,"D":1,"sigma":1}', "--interval", "0,inf"],
+                 id="variation-mobius-interval-inf"),
+    pytest.param(["variation", "--u", "tan(t)", "--interval", "1,0.1"], id="variation-interval-reversed"),
+    pytest.param(["family", "--sigma", "nan"], id="family-sigma-nan"),
+    pytest.param(["family", "--sigma", "inf"], id="family-sigma-inf"),
+    pytest.param(["family", "--sigma", "1", "--t0", "nan"], id="family-t0-nan"),
+    pytest.param(["family", "--sigma", "1", "--t1", "inf"], id="family-t1-inf"),
+    pytest.param(["variation", "--mobius", '{"A":1}', "--interval", "0,1"], id="mobius-json-missing-key"),
+    pytest.param(["variation", "--mobius", "[1]", "--interval", "0,1"], id="mobius-json-not-an-object"),
+    pytest.param(["linearize", "--base", '{"A":1,"B":0,"C":0,"D":1,"sigma":"x"}', "--t", "0"],
+                 id="base-json-non-numeric"),
+    pytest.param(["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "0"], id="variation-n-0"),
+])
+def test_bad_input_exits_1_without_traceback(argv, capsys):
+    # an exception that main() does not turn into "error:" would reach here
+    # as a traceback; a run that never returns is cut by the alarm
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        code, out, err = run(argv, capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

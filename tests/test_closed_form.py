@@ -42,6 +42,20 @@ def test_degenerate_family_rejected():
         MobiusFamily(1, 2, 2, 4, 0.0)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"A":1,"B":0,"C":0,"D":1}', "no key 'sigma'"),
+    ('{"A":1,"B":0,"C":0,"D":"1","sigma":0}', "key 'D' is not a number"),
+    ('{"A":1,"B":null,"C":0,"D":1,"sigma":0}', "key 'B' is not a number"),
+    ('[1, 0, 0, 1, 0]', "must be an object"),
+    ('{"A":1,"B":0,"C":0,"D":1,"sigma":NaN}', "must be finite"),
+    ('{"A":1,"B":0,"C":0,"D":1%s,"sigma":0}' % ("0" * 400), "must be finite"),
+    ('{"A":1,"B":0,"C":true,"D":1,"sigma":0}', "key 'C' is not a number"),
+])
+def test_family_from_json_names_the_bad_key(text, message):
+    with pytest.raises(ValueError, match=message):
+        MobiusFamily.from_json(text)
+
+
 def test_identity_family_jet():
     jet = family_eval_jet(MobiusFamily(1, 0, 0, 1, 0.0), 3.0)
     assert jet.as_tuple() == (3.0, 3.0, 1.0, 0.0, 0.0)

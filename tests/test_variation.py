@@ -11,7 +11,7 @@ from conftest import random_mobius_curve, random_polynomial_variation
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
-from schwarzlab.schwarzian import Jet4, boundary_B
+from schwarzlab.schwarzian import Jet4, boundary_B, lagrangian, schwarzian
 from schwarzlab.variation import (
     FORMS,
     BumpFn,
@@ -178,6 +178,31 @@ def test_quad_not_converged_raises():
     with pytest.raises(QuadratureError, match="did not converge") as info:
         _quad(lambda t: math.sin(1.0 / t), 0.0, 1.0)
     assert info.value.abserr > 0.0
+
+
+def test_quad_matches_scipy_quad_oracle():
+    """_quad against scipy's adaptive quad, kept here as an independent
+    oracle, on random integrands from MobiusCurve jets with a kink and a
+    bump weight, each edge a breakpoint."""
+    from scipy.integrate import quad
+
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        u = random_mobius_curve(rng)
+        t0, t1 = u.domain
+        kink = float(rng.uniform(t0, t1))
+        bump = BumpFn(float(rng.uniform(t0, t1)), float(rng.uniform(0.05, 0.5)), float(rng.uniform(-2, 2)))
+        c = rng.uniform(-1, 1, size=3)
+
+        def f(t):
+            j = u.jet(t)
+            return (c[0] * j.u + c[1] * schwarzian(j) * abs(t - kink) + c[2] * j.q / j.p
+                    + bump.value(t) * lagrangian(j))
+
+        points = (kink, *bump.support)
+        expected = quad(f, t0, t1, points=[x for x in points if t0 < x < t1],
+                        epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+        assert abs(_quad(f, t0, t1, points) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_unknown_form_rejected():
