@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -47,25 +48,48 @@ def _setup_logging():
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(levelname)s %(message)s")
 
 
+def _finite(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{name} {x} is not finite")
+    return x
+
+
 def _parse_jet(text: str) -> Jet4:
-    parts = [float(x) for x in text.split(",")]
+    parts = [_finite("jet entry", float(x)) for x in text.split(",")]
     if len(parts) != 5:
         raise ValueError(f"jet must be 5 comma-separated numbers t,u,p,q,r, got {len(parts)}")
     return Jet4(*parts)
 
 
-def _apply_config(args: argparse.Namespace):
-    """Fill in values from the JSON config file for any flag left at its
-    subparser default.  Explicit flags always win."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    defaults = {a.dest: a.default for a in args.parser._actions}
-    for key, value in conf.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+class _Repeatable(argparse.Action):
+    """A repeatable flag collected into a list.  Its first use on the command
+    line starts a new list, so it replaces a config file's list rather than
+    extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, self.dest, None)
+        setattr(namespace, self.dest, ([] if given is self.default else given) + [values])
+
+
+# namespace entries that are not flags, so a config file cannot set them
+_NOT_FLAGS = {"command", "func", "parser"}
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv.  The values of the --config JSON file then become the
+    subcommand's defaults and argv is parsed again, so explicit flags win,
+    even one equal to its default.  Unknown config keys are ignored."""
+    args = parser.parse_args(argv)
+    if args.config:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+        if not isinstance(conf, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        conf = {key.replace("-", "_"): value for key, value in conf.items()}
+        args.parser.set_defaults(**{dest: value for dest, value in conf.items()
+                                    if hasattr(args, dest) and dest not in _NOT_FLAGS})
+        args = parser.parse_args(argv)
+    return args
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -137,7 +161,7 @@ def cmd_family(args) -> int:
         report = family_verify(fam, args.verify, args.t0, args.t1)
         payload["verify"] = report.to_dict()
     if args.jet_at is not None:
-        jet = family_eval_jet(fam, args.jet_at)
+        jet = family_eval_jet(fam, _finite("--jet-at", args.jet_at))
         payload["jet"] = list(jet.as_tuple())
         payload["schwarzian"] = schwarzian(jet)
     _emit_json(payload, args)
@@ -152,7 +176,7 @@ def cmd_linearize(args) -> int:
         base = MobiusFamily.from_json(args.base)
     rows = []
     for t in args.t:
-        a1, a2, a3 = linearize(field, base, t)
+        a1, a2, a3 = linearize(field, base, _finite("--t", t))
         rows.append({"t": t, "a1": a1, "a2": a2, "a3": a3})
     _emit_json({"base": args.base, "rows": rows}, args)
     return EXIT_OK
@@ -200,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", help="evaluate W0/W1 for a field at jets")
     sp.add_argument("--field", default=None, help="named field (EL)")
     sp.add_argument("--F", default=None, help="right-hand side expression in t,u,p,q,r")
-    sp.add_argument("--jet", action="append", help="jet t,u,p,q,r (repeatable)")
+    sp.add_argument("--jet", action=_Repeatable, help="jet t,u,p,q,r (repeatable)")
     sp.add_argument("--random", type=int, default=0, help="additionally sample N random jets")
     _add_common(sp)
     sp.set_defaults(func=cmd_invariants, parser=sp)
@@ -223,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--F", default=None)
     sp.add_argument("--base", required=True,
                     help="named base (exp|line|tan) or a family JSON object")
-    sp.add_argument("--t", type=float, action="append", required=True, help="sample time (repeatable)")
+    sp.add_argument("--t", type=float, action=_Repeatable, required=True, help="sample time (repeatable)")
     _add_common(sp)
     sp.set_defaults(func=cmd_linearize, parser=sp)
 
@@ -243,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except (SchwarzLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,16 +19,8 @@ from typing import Sequence, Union
 from .closed_form import MobiusFamily, family_eval_jet
 from .el_ode import Trajectory
 from .schwarzian import EL_FIELD_TEXT, Jet4, schwarzian
-from .symbolics import (
-    Expr,
-    TaylorScalar,
-    differentiate,
-    eval_scalar,
-    formal_solution,
-    parse,
-    taylor_eval,
-    variables_of,
-)
+from .symbolics import Expr, differentiate, eval_scalar, formal_solution, parse, taylor_eval, variables_of
+from .variation import ExprVariation
 
 # The highest total derivative read is d3F_r, coefficient 3 of F_r.  F_r
 # reads r through that coefficient, so u through coefficient 6: an order-6
@@ -153,23 +145,15 @@ class LinearizedOde:
     base: BaseSolution
 
 
-def _derivs_to_4(fn: Union[str, Expr], t: float) -> list:
-    """Value and first four derivatives of a t-only expression at t."""
-    e = parse(fn) if isinstance(fn, str) else fn
-    extra = variables_of(e) - {"t"}
-    if extra:
-        raise ValueError(f"basis function may only reference t, found {sorted(extra)}")
-    series = taylor_eval(e, {"t": TaylorScalar.variable(t, 4)})
-    return [series.derivative(k) for k in range(5)]
-
-
 def verify_linear_basis(lin: LinearizedOde, basis: Sequence, ts: Sequence) -> float:
     """Max residual |v'''' - a3 v''' - a2 v'' - a1 v'| over basis x ts.
-    Basis functions are t-only expressions (strings or Expr trees)."""
+    Basis functions are t-only expressions (strings or Expr trees), each
+    read through one ExprVariation."""
+    fns = [ExprVariation(fn) for fn in basis]
     worst = 0.0
     for t in ts:
         a1, a2, a3 = linearize(lin.field, lin.base, t)
-        for fn in basis:
-            v0, v1, v2, v3, v4 = _derivs_to_4(fn, t)
-            worst = max(worst, abs(v4 - a3 * v3 - a2 * v2 - a1 * v1))
+        for v in fns:
+            _, v1, v2, v3 = v.derivs3(t)
+            worst = max(worst, abs(v.fourth(t) - a3 * v3 - a2 * v2 - a1 * v1))
     return worst

@@ -2,11 +2,15 @@
 the quadratic functional I_L = int (u''/u')^2 dt and the Schwarzian
 functional I_S = int S(u) dt.
 
-Provides curve and variation function types with exact derivatives, the
-first variation in all its equivalent integral forms (with their boundary
-terms kept separate), a finite-difference cross-check, the integrating-factor
-solver for D_u(v) = phi, the admissible-variation construction that meets the
-second-order endpoint condition, and the resulting critical-point test.
+Provides one hierarchy of functions of t with exact derivatives: a
+variation (VariationFn) gives v and its first three derivatives, and a curve
+(CurveFn) is a variation on a domain, where u' != 0, whose derivatives are
+read as a jet.  So u + s*v is a LinearCombination, as any sum of curves and
+variations is.  On top of it: the first variation in all its equivalent
+integral forms (with their boundary terms kept separate), a finite-difference
+cross-check, the integrating-factor solver for D_u(v) = phi, the
+admissible-variation construction that meets the second-order endpoint
+condition, and the resulting critical-point test.
 
 Every integral here runs on one panel rule (_panels): the interval is split
 at the integrand's breakpoints and each panel is bisected until the two
@@ -36,6 +40,11 @@ CURVE_P_FLOOR = 1e-8
 CURVE_U_ROUNDING = 1e-12
 
 FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
+
+# critical_test: each probe's glue is CRITICAL_EPS times the domain's length
+# wide, and a probe with |delta| > CRITICAL_THRESHOLD is a witness
+CRITICAL_EPS = 0.05
+CRITICAL_THRESHOLD = 1e-4
 
 # Chebyshev panels: CHEB_N nodes each; a panel is bisected until its two trailing
 # coefficients are <= CHEB_TAIL * the largest initial coefficient
@@ -96,150 +105,13 @@ def _quad(fn, a, b, breakpoints=()):
 
 
 # ---------------------------------------------------------------------------
-# Curves: scalar functions of t with derivatives to order 4 and u' != 0
-# ---------------------------------------------------------------------------
-
-class CurveFn:
-    """Base class.  Subclasses provide jet(t); construction rejects a domain
-    that is not finite with t0 < t1, samples the jet on a grid and rejects
-    curves that come too close to u' = 0, or whose u moves against the sign
-    of u' between two samples: by the mean value theorem a continuous u
-    cannot, so a pole lies between them."""
-
-    domain: tuple
-    breakpoints: tuple = ()
-
-    def jet(self, t: float) -> Jet4:
-        raise NotImplementedError
-
-    def fourth(self, t: float) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def _check_regular(self, n: int = 101):
-        t0, t1 = self.domain
-        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-            raise ValueError(f"curve {self.describe()} needs a finite domain t0 < t1, got [{t0}, {t1}]")
-        last_sign, last_u = 0.0, 0.0
-        for i in range(n):
-            t = t0 + (t1 - t0) * i / (n - 1)
-            jet = self.jet(t)
-            if abs(jet.p) < CURVE_P_FLOOR:
-                raise SingularJetError(
-                    f"curve {self.describe()} has |u'| = {abs(jet.p):.2e} at t = {t}"
-                )
-            sign = math.copysign(1.0, jet.p)
-            if last_sign and sign != last_sign:
-                raise SingularJetError(
-                    f"curve {self.describe()} has u' changing sign near t = {t}"
-                )
-            if last_sign and sign * (jet.u - last_u) < -CURVE_U_ROUNDING * max(abs(jet.u), abs(last_u)):
-                raise SingularJetError(
-                    f"curve {self.describe()} has u moving against the sign of u' near t = {t}: "
-                    "a pole lies in its domain"
-                )
-            last_sign, last_u = sign, jet.u
-
-
-class MobiusCurve(CurveFn):
-    """Closed-form family member restricted to a pole-free window."""
-
-    def __init__(self, family: MobiusFamily, domain: tuple):
-        self.family = family
-        self.domain = (float(domain[0]), float(domain[1]))
-        poles = family_poles(family, *self.domain)
-        if poles:
-            raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
-        self._check_regular()
-
-    def jet(self, t: float) -> Jet4:
-        return family_eval_jet(self.family, t)
-
-    def fourth(self, t: float) -> float:
-        return family_fourth(self.family, t)
-
-    def describe(self) -> str:
-        f = self.family
-        return f"mobius(A={f.A:g},B={f.B:g},C={f.C:g},D={f.D:g},sigma={f.sigma:g})"
-
-
-class ExprCurve(CurveFn):
-    """Curve given by an expression in t alone; derivatives via Taylor
-    arithmetic, so they are exact."""
-
-    def __init__(self, source: Union[str, Expr], domain: tuple):
-        self.expr = parse(source) if isinstance(source, str) else source
-        extra = variables_of(self.expr) - {"t"}
-        if extra:
-            raise ValueError(f"curve expression may only reference t, found {sorted(extra)}")
-        self.text = str(self.expr)
-        self.domain = (float(domain[0]), float(domain[1]))
-        self._check_regular()
-
-    def _series(self, t: float, order: int) -> TaylorScalar:
-        return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, order)})
-
-    def jet(self, t: float) -> Jet4:
-        return Jet4.from_series(self._series(t, 3))
-
-    def fourth(self, t: float) -> float:
-        return self._series(t, 4).derivative(4)
-
-    def describe(self) -> str:
-        return f"expr:{self.text}"
-
-
-class TrajectoryCurve(CurveFn):
-    """Integrated solution used as a curve, through its dense output.  The
-    fourth derivative comes from the equation itself."""
-
-    def __init__(self, traj: Trajectory, domain: Optional[tuple] = None):
-        self.traj = traj
-        lo = min(traj.t_start, traj.t_final)
-        hi = max(traj.t_start, traj.t_final)
-        self.domain = (float(domain[0]), float(domain[1])) if domain else (lo, hi)
-        self._check_regular()
-
-    def jet(self, t: float) -> Jet4:
-        return self.traj.jet_at(t)
-
-    def fourth(self, t: float) -> float:
-        return el_rhs(self.jet(t))
-
-    def describe(self) -> str:
-        return f"trajectory(tol={self.traj.tolerance:g})"
-
-
-class PerturbedCurve(CurveFn):
-    """u + s*v for a curve u and variation v; used by the finite-difference
-    variation."""
-
-    def __init__(self, curve: CurveFn, variation: "VariationFn", s: float):
-        self.curve = curve
-        self.variation = variation
-        self.s = float(s)
-        self.domain = curve.domain
-        self.breakpoints = tuple(curve.breakpoints) + tuple(variation.breakpoints)
-        self._check_regular()
-
-    def jet(self, t: float) -> Jet4:
-        base = self.curve.jet(t)
-        v0, v1, v2, v3 = self.variation.derivs3(t)
-        s = self.s
-        return Jet4(t, base.u + s * v0, base.p + s * v1, base.q + s * v2, base.r + s * v3)
-
-    def describe(self) -> str:
-        return f"perturbed({self.curve.describe()}, s={self.s:g})"
-
-
-# ---------------------------------------------------------------------------
-# Variations: scalar functions of t with derivatives to order 3
+# Functions of t.  A variation has derivatives to order 3; a curve is a
+# variation on a domain, with u' != 0 there and its derivatives read as a jet.
 # ---------------------------------------------------------------------------
 
 class VariationFn:
-    """Base class.  Subclasses provide derivs3(t) -> (v, v', v'', v''')."""
+    """Base class of every function of t here.  Subclasses provide
+    derivs3(t) -> (v, v', v'', v''')."""
 
     breakpoints: tuple = ()
 
@@ -258,18 +130,22 @@ class VariationFn:
 
 
 class ExprVariation(VariationFn):
-    """Variation given by an expression in t alone."""
+    """Variation given by an expression in t alone; derivatives via Taylor
+    arithmetic, so they are exact."""
 
     def __init__(self, source: Union[str, Expr]):
         self.expr = parse(source) if isinstance(source, str) else source
         extra = variables_of(self.expr) - {"t"}
         if extra:
-            raise ValueError(f"variation expression may only reference t, found {sorted(extra)}")
+            raise ValueError(f"expression may only reference t, found {sorted(extra)}")
         self.text = str(self.expr)
 
     def derivs3(self, t: float) -> tuple:
         s = taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 3)})
         return (s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+
+    def fourth(self, t: float) -> float:
+        return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
 
     def describe(self) -> str:
         return f"expr:{self.text}"
@@ -324,7 +200,7 @@ class SplineVariation(VariationFn):
 
 
 class LinearCombination(VariationFn):
-    """sum_i coef_i * v_i of existing variations."""
+    """sum_i coef_i * v_i of existing variations (curves among them)."""
 
     def __init__(self, terms: Sequence):
         self.terms = [(float(c), v) for c, v in terms]
@@ -334,16 +210,139 @@ class LinearCombination(VariationFn):
         self.breakpoints = tuple(bps)
 
     def derivs3(self, t: float) -> tuple:
-        acc = [0.0, 0.0, 0.0, 0.0]
+        v0 = v1 = v2 = v3 = 0.0
         for c, v in self.terms:
-            d = v.derivs3(t)
-            for k in range(4):
-                acc[k] += c * d[k]
-        return tuple(acc)
+            d0, d1, d2, d3 = v.derivs3(t)
+            v0 += c * d0
+            v1 += c * d1
+            v2 += c * d2
+            v3 += c * d3
+        return (v0, v1, v2, v3)
+
+
+class CurveFn(VariationFn):
+    """A curve is a variation on a domain: a function of t whose (u, u',
+    u'', u''') is its jet, on a finite domain t0 < t1 where u' != 0.
+
+    jet(t) is the one method a subclass must provide; derivs3(t) reads it.
+    A curve that inherits derivs3 from a variation class defines jet from
+    that derivs3 instead.  Construction rejects a domain that is not finite
+    with t0 < t1, samples the jet on a grid and rejects curves that come too
+    close to u' = 0, or whose u moves against the sign of u' between two
+    samples: by the mean value theorem a continuous u cannot, so a pole lies
+    between them."""
+
+    domain: tuple
+
+    def jet(self, t: float) -> Jet4:
+        raise NotImplementedError
+
+    def derivs3(self, t: float) -> tuple:
+        j = self.jet(t)
+        return (j.u, j.p, j.q, j.r)
+
+    def _check_regular(self, n: int = 101):
+        t0, t1 = self.domain
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+            raise ValueError(f"curve {self.describe()} needs a finite domain t0 < t1, got [{t0}, {t1}]")
+        last_sign, last_u = 0.0, 0.0
+        for i in range(n):
+            t = t0 + (t1 - t0) * i / (n - 1)
+            jet = self.jet(t)
+            if abs(jet.p) < CURVE_P_FLOOR:
+                raise SingularJetError(
+                    f"curve {self.describe()} has |u'| = {abs(jet.p):.2e} at t = {t}"
+                )
+            sign = math.copysign(1.0, jet.p)
+            if last_sign and sign != last_sign:
+                raise SingularJetError(
+                    f"curve {self.describe()} has u' changing sign near t = {t}"
+                )
+            if last_sign and sign * (jet.u - last_u) < -CURVE_U_ROUNDING * max(abs(jet.u), abs(last_u)):
+                raise SingularJetError(
+                    f"curve {self.describe()} has u moving against the sign of u' near t = {t}: "
+                    "a pole lies in its domain"
+                )
+            last_sign, last_u = sign, jet.u
+
+
+class MobiusCurve(CurveFn):
+    """Closed-form family member restricted to a pole-free window."""
+
+    def __init__(self, family: MobiusFamily, domain: tuple):
+        self.family = family
+        self.domain = (float(domain[0]), float(domain[1]))
+        poles = family_poles(family, *self.domain)
+        if poles:
+            raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
+        self._check_regular()
+
+    def jet(self, t: float) -> Jet4:
+        return family_eval_jet(self.family, t)
+
+    def fourth(self, t: float) -> float:
+        return family_fourth(self.family, t)
+
+    def describe(self) -> str:
+        f = self.family
+        return f"mobius(A={f.A:g},B={f.B:g},C={f.C:g},D={f.D:g},sigma={f.sigma:g})"
+
+
+class ExprCurve(ExprVariation, CurveFn):
+    """Curve given by an expression in t alone: an ExprVariation on a
+    domain, so its derivatives are exact."""
+
+    def __init__(self, source: Union[str, Expr], domain: tuple):
+        super().__init__(source)
+        self.domain = (float(domain[0]), float(domain[1]))
+        self._check_regular()
+
+    def jet(self, t: float) -> Jet4:
+        return Jet4(t, *self.derivs3(t))
+
+
+class TrajectoryCurve(CurveFn):
+    """Integrated solution used as a curve, through its dense output.  The
+    fourth derivative comes from the equation itself."""
+
+    def __init__(self, traj: Trajectory, domain: Optional[tuple] = None):
+        self.traj = traj
+        lo = min(traj.t_start, traj.t_final)
+        hi = max(traj.t_start, traj.t_final)
+        self.domain = (float(domain[0]), float(domain[1])) if domain else (lo, hi)
+        self._check_regular()
+
+    def jet(self, t: float) -> Jet4:
+        return self.traj.jet_at(t)
+
+    def fourth(self, t: float) -> float:
+        return el_rhs(self.jet(t))
+
+    def describe(self) -> str:
+        return f"trajectory(tol={self.traj.tolerance:g})"
+
+
+class PerturbedCurve(LinearCombination, CurveFn):
+    """u + s*v for a curve u and variation v, used by the finite-difference
+    variation: the LinearCombination [(1, u), (s, v)] on u's domain."""
+
+    def __init__(self, curve: CurveFn, variation: VariationFn, s: float):
+        super().__init__([(1.0, curve), (s, variation)])
+        self.curve = curve
+        self.variation = variation
+        self.s = float(s)
+        self.domain = curve.domain
+        self._check_regular()
+
+    def jet(self, t: float) -> Jet4:
+        return Jet4(t, *self.derivs3(t))
+
+    def describe(self) -> str:
+        return f"perturbed({self.curve.describe()}, s={self.s:g})"
 
 
 class DuSolution(VariationFn):
-    """Integrating-factor solution of D_u(v) = phi:
+    """Integrating-factor solution of D_u(v) = phi on u's domain [t0, t1]:
 
         v(t) = u'(t) * (k0 + W(t)),   k0 = v0 / u'(t0),   W(t) = int_t0^t phi/u' dtau
 
@@ -356,11 +355,11 @@ class DuSolution(VariationFn):
     same panel jets as `schwarzian_integral`.
     """
 
-    def __init__(self, u: CurveFn, phi: VariationFn, v0: float, t0: float, t1: float):
+    def __init__(self, u: CurveFn, phi: VariationFn, v0: float):
         self.u = u
         self.phi = phi
-        self.t0, self.t1 = float(t0), float(t1)
-        self.k0 = float(v0) / u.jet(t0).p
+        self.t0, self.t1 = u.domain
+        self.k0 = float(v0) / u.jet(self.t0).p
         self.breakpoints = tuple(phi.breakpoints)
 
         def sample(ts):
@@ -424,11 +423,10 @@ class DuSolution(VariationFn):
         return f"du_solution({self.phi.describe()})"
 
 
-def solve_du(u: CurveFn, phi: VariationFn, v0: float, t0: Optional[float] = None,
-             t1: Optional[float] = None) -> DuSolution:
-    """Solve the first-order equation D_u(v) = phi with v(t0) = v0."""
-    d0, d1 = u.domain
-    return DuSolution(u, phi, v0, d0 if t0 is None else t0, d1 if t1 is None else t1)
+def solve_du(u: CurveFn, phi: VariationFn, v0: float) -> DuSolution:
+    """Solve the first-order equation D_u(v) = phi on u's domain [t0, t1]
+    with v(t0) = v0."""
+    return DuSolution(u, phi, v0)
 
 
 class AdmissibleVariation(VariationFn):
@@ -483,9 +481,7 @@ class AdmissibleVariation(VariationFn):
 
     def endpoint_residual(self) -> float:
         """|B(t1) - B(t0)| of the combined variation, evaluated directly."""
-        b0 = boundary_B(self.u.jet(self.t0), self.var_jet(self.t0))
-        b1 = boundary_B(self.u.jet(self.t1), self.var_jet(self.t1))
-        return abs(b1 - b0)
+        return abs(_boundary("schwarzian", self.u, self, self.t0, self.t1))
 
     def describe(self) -> str:
         return f"admissible({self.phi.describe()}, eps={self.eps:g}, c={self.c:g})"
@@ -505,7 +501,7 @@ def admissible_variation(u: CurveFn, phi: VariationFn, eps: float) -> Admissible
         raise ValueError(
             f"bump support [{lo:g}, {hi:g}] must lie inside ({t0 + eps:g}, {t1:g})"
         )
-    base = solve_du(u, phi, 0.0, t0, t1)
+    base = solve_du(u, phi, 0.0)
     b_end = boundary_B(u.jet(t1), base.var_jet(t1))
     jet0 = u.jet(t0)
     p, q = jet0.p, jet0.q
@@ -638,12 +634,11 @@ class CriticalReport:
         }
 
 
-def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
-                  eps: Optional[float] = None, threshold: float = 1e-4) -> CriticalReport:
+def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0) -> CriticalReport:
     """Probe whether u is a critical point of I_S within the admissible
     class: draw n random bumps, build admissible variations, evaluate the
     first variation, and report the maximum |delta| together with a witness
-    if it exceeds the threshold.
+    if it exceeds CRITICAL_THRESHOLD.
 
     S(u) is the Euler-Lagrange operator of the admissible variations: for
     v = u' W with W' = phi/u', D_u(v) = phi, so each probe is the linear
@@ -655,8 +650,7 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
     if n < 1:
         raise ValueError(f"need at least one probe, got n = {n}")
     span = t1 - t0
-    if eps is None:
-        eps = 0.05 * span
+    eps = CRITICAL_EPS * span
     rng = np.random.default_rng(seed)
     max_delta = -1.0
     witness = None
@@ -675,7 +669,7 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
         max_du = max(max_du, adm.base.residual())
         if abs(delta) > max_delta:
             max_delta = abs(delta)
-            if abs(delta) > threshold:
+            if abs(delta) > CRITICAL_THRESHOLD:
                 witness = {
                     "center": center,
                     "radius": radius,
@@ -687,7 +681,7 @@ def critical_test(u: CurveFn, t0: float, t1: float, n: int, seed: int = 0,
         curve=u.describe(),
         interval=(t0, t1),
         n=n,
-        threshold=threshold,
+        threshold=CRITICAL_THRESHOLD,
         max_delta=max_delta,
         witness=witness,
         max_endpoint_residual=max_endpoint,

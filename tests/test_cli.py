@@ -265,6 +265,17 @@ def _too_slow(signum, frame):
     raise TooSlow("no answer within 5 s")
 
 
+# a non-finite number where the CLI reads it; the message must say so
+NON_FINITE_NUMBERS = [
+    pytest.param(["family", "--sigma", "2", "--jet-at", "nan"], id="family-jet-at-nan"),
+    pytest.param(["family", "--sigma", "2", "--jet-at", "inf"], id="family-jet-at-inf"),
+    pytest.param(["linearize", "--base", "line", "--t", "nan"], id="linearize-t-nan"),
+    pytest.param(["linearize", "--base", "tan", "--t", "inf"], id="linearize-t-inf"),
+    pytest.param(["invariants", "--jet", "nan,0,1,0,0"], id="invariants-jet-nan"),
+    pytest.param(["invariants", "--jet", "0,0,inf,0,0"], id="invariants-jet-inf"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["integrate", "--jet", "0,0,1,0,0", "--t-end", "nan"], id="integrate-t-end-nan"),
     pytest.param(["integrate", "--jet", "0,0,1,0,0", "--t-end", "inf"], id="integrate-t-end-inf"),
@@ -283,6 +294,7 @@ def _too_slow(signum, frame):
     pytest.param(["linearize", "--base", '{"A":1,"B":0,"C":0,"D":1,"sigma":"x"}', "--t", "0"],
                  id="base-json-non-numeric"),
     pytest.param(["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "0"], id="variation-n-0"),
+    *NON_FINITE_NUMBERS,
 ])
 def test_bad_input_exits_1_without_traceback(argv, capsys):
     # an exception that main() does not turn into "error:" would reach here
@@ -297,6 +309,13 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_NUMBERS)
+def test_non_finite_number_is_named(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "is not finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +346,25 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert header["jet"] == "0,0,1,0,0"
     assert header["t_end"] == 2.0
     assert header["tol"] == 1e-8
+
+
+def test_explicit_flag_equal_to_its_default_beats_config(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": 1e-8, "t": [0.1, 0.2], "unknown-key": 1}))
+    code, out, _ = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1", "--tol", "1e-10",
+                        "--config", str(conf)], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[0].removeprefix("# config: "))["tol"] == 1e-10
+    # a repeatable flag given on the command line replaces the config's list
+    code, out, _ = run(["linearize", "--base", "line", "--t", "0.5", "--config", str(conf)], capsys)
+    assert code == 0
+    assert [row["t"] for row in json.loads(out)["rows"]] == [0.5]
+
+
+def test_config_file_not_an_object_exits_1(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text("[1]")
+    code, out, err = run(["family", "--sigma", "0", "--config", str(conf)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "JSON object" in err

@@ -15,6 +15,7 @@ from schwarzlab.schwarzian import Jet4, boundary_B, lagrangian, schwarzian
 from schwarzlab.variation import (
     FORMS,
     BumpFn,
+    CurveFn,
     ExprCurve,
     ExprVariation,
     LinearCombination,
@@ -437,6 +438,43 @@ def test_linear_combination():
     t = 0.7
     expected = tuple(2 * x - y for x, y in zip(a.derivs3(t), b.derivs3(t)))
     assert combo.derivs3(t) == pytest.approx(expected, abs=0, rel=1e-15)
+
+
+CURVES_OF_T = {
+    "mobius": lambda: MobiusCurve(MobiusFamily(1.0, 0.0, 0.0, 1.0, 2.0), (0.0, 1.0)),
+    "expr": lambda: ExprCurve("tan(t)", (0.0, 1.0)),
+    "trajectory": lambda: TrajectoryCurve(integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVES_OF_T))
+def test_curve_is_a_variation_on_its_domain(kind):
+    # a curve's derivs3 is its jet, so u + s*v and any combination of
+    # curves and variations are read through LinearCombination, exactly
+    u = CURVES_OF_T[kind]()
+    v = ExprVariation("0.3*t^2 + sin(t)")
+    bump = BumpFn(0.5, 0.3, 0.8)
+    s = 0.01
+    perturbed = PerturbedCurve(u, v, s)
+    mixed = LinearCombination([(1.0, u), (-0.5, bump)])
+    for t in (0.2, 0.5, 0.9):
+        jet = u.jet(t)
+        assert u.derivs3(t) == (jet.u, jet.p, jet.q, jet.r)
+        v0, v1, v2, v3 = v.derivs3(t)
+        assert perturbed.jet(t) == Jet4(t, jet.u + s * v0, jet.p + s * v1, jet.q + s * v2, jet.r + s * v3)
+        assert mixed.derivs3(t) == tuple(a - 0.5 * b for a, b in zip(u.derivs3(t), bump.derivs3(t)))
+        if kind == "expr":
+            assert u.fourth(t) == ExprVariation("tan(t)").fourth(t)
+
+
+def test_function_of_t_without_derivatives_raises():
+    class Bare(CurveFn):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().derivs3(0.5)
+    with pytest.raises(NotImplementedError):
+        Bare().jet(0.5)
 
 
 def test_trajectory_curve_fourth():
