@@ -2,12 +2,13 @@
 
 Subcommands wrap the library one-to-one and emit machine-readable CSV or
 JSON so results can be plotted or checked in CI.  Exit codes: 0 success,
-1 bad input, 2 integration stopped near a singularity, 3 an --expect-*
-assertion was violated.
+1 bad input (a usage error included), 2 integration stopped near a
+singularity, 3 an --expect-* assertion was violated.
 
 Randomized sampling is deterministic given --seed.  Flags may also be read
-from a JSON config file (--config); explicit flags win, and the effective
-configuration is echoed in the output header.
+from a JSON config file (--config), each value checked through its flag's
+type and choices; explicit flags win, and the effective configuration is
+echoed in the output header.
 """
 
 from __future__ import annotations
@@ -71,11 +72,54 @@ class _Repeatable(argparse.Action):
         setattr(namespace, self.dest, ([] if given is self.default else given) + [values])
 
 
-# namespace entries that are not flags, so a config file cannot set them
-_NOT_FLAGS = {"command", "func", "parser"}
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are bad input, exit 1 through
+    main() rather than argparse's exit 2 (which here means a singular stop),
+    and which keeps each flag's action by dest for checking config values.
+    Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+def _config_value(key: str, value, action: argparse.Action):
+    """A config file's value for a flag, checked as the command line would
+    check it: a switch takes true or false, a repeatable flag a list, and
+    every other value (or list element) is a number or a string whose text
+    goes through the flag's type and choices.  ValueError names the key."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(action, _Repeatable):
+        if not isinstance(value, list):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        return [_config_item(key, item, action) for item in value]
+    return _config_item(key, value, action)
+
+
+def _config_item(key: str, value, action: argparse.Action):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
+    try:
+        out = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"config key {key!r} has an invalid value {value!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return out
+
+
+def _parse_args(parser: _Parser, argv) -> argparse.Namespace:
     """Parse argv.  The values of the --config JSON file then become the
     subcommand's defaults and argv is parsed again, so explicit flags win,
     even one equal to its default.  Unknown config keys are ignored."""
@@ -85,9 +129,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             conf = json.load(fh)
         if not isinstance(conf, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        conf = {key.replace("-", "_"): value for key, value in conf.items()}
-        args.parser.set_defaults(**{dest: value for dest, value in conf.items()
-                                    if hasattr(args, dest) and dest not in _NOT_FLAGS})
+        flags = args.parser.flags
+        defaults = {}
+        for key, value in conf.items():
+            dest = key.replace("-", "_")
+            if dest in flags and hasattr(args, dest):
+                defaults[dest] = _config_value(key, value, flags[dest])
+        args.parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
     return args
 
@@ -209,9 +257,9 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="schwarzlab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser() -> _Parser:
+    parser = _Parser(prog="schwarzlab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("integrate", help="integrate the stationarity equation from a jet")

@@ -30,8 +30,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SingularTimeError
 from .schwarzian import Jet4, el_rhs, schwarzian
+from .symbolics import first_where, pointwise
 
 # Half-width of the exclusion window around a pole when evaluating jets.
 POLE_EPS = 1e-9
@@ -85,37 +88,47 @@ class MobiusFamily:
         return cls(d["A"], d["B"], d["C"], d["D"], d["sigma"])
 
 
-def _shift(sigma: float, t: float) -> tuple:
-    """(P(t) as (a, b, c, d) row by row, det P) with g(t + s) = P(t) G(s)."""
+def _shift(sigma: float, t) -> tuple:
+    """(P(t) as (a, b, c, d) row by row, det P) with g(t + s) = P(t) G(s).
+    t is a float, or an array of times, whose entries are then arrays."""
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
-        cs, sn = math.cos(w * t), math.sin(w * t)
+        cs, sn = pointwise(math.cos, w * t), pointwise(math.sin, w * t)
         return (w * cs, sn, -w * sn, cs), w
     if sigma == 0:
         return (1.0, t, 0.0, 1.0), 1.0
     k = math.sqrt(-sigma / 2.0)
     try:
-        up, down = math.exp(k * t), math.exp(-k * t)
+        up, down = pointwise(math.exp, k * t), pointwise(math.exp, -k * t)
     except OverflowError:
-        raise ValueError(f"e^(+-k t) is outside the float range at k t = {k * t:g}") from None
+        kt = float(np.max(np.abs(k * t)))
+        raise ValueError(f"e^(+-k t) is outside the float range at |k t| = {kt:g}") from None
     return (k * up, up, -k * down, down), 2.0 * k
 
 
-def _member(f: MobiusFamily, t: float) -> tuple:
-    """(u, p, c) of the member u(t + s) = u + p G(s)/(1 - c G(s)) at t.  Its
-    nearest pole is where G(s) = 1/c, so |1/c| < POLE_EPS counts as a pole."""
+def _member(f: MobiusFamily, t) -> tuple:
+    """(u, p, c) of the member u(t + s) = u + p G(s)/(1 - c G(s)) at t, a
+    float or an array of times.  Its nearest pole is where G(s) = 1/c, so
+    |1/c| < POLE_EPS counts as a pole."""
     (a, b, c, d), det = _shift(f.sigma, t)
     beta, gamma, delta = f.A * b + f.B * d, f.C * a + f.D * c, f.C * b + f.D * d
-    if abs(delta) < POLE_EPS * abs(gamma):
-        raise SingularTimeError(f"pole of the family member within {POLE_EPS:g} of t = {t}")
+    pole = first_where(abs(delta) < POLE_EPS * abs(gamma), t)
+    if pole is not None:
+        raise SingularTimeError(f"pole of the family member within {POLE_EPS:g} of t = {pole}")
     return beta / delta, f.determinant * det / delta / delta, -gamma / delta
 
 
-def family_eval_jet(f: MobiusFamily, t: float) -> Jet4:
-    """The 3-jet of the family member at t, from the series of G:
-    q = 2pc and r = p (sigma + 6c^2)."""
+def family_derivs(f: MobiusFamily, t) -> tuple:
+    """(u, u', u'', u''') of the family member at t, a float or an array of
+    times, from the series of G: q = 2pc and r = p (sigma + 6c^2).  On an
+    array each element equals the value at that time alone."""
     u, p, c = _member(f, t)
-    return Jet4(t, u, p, 2.0 * p * c, p * (f.sigma + 6.0 * c * c))
+    return u, p, 2.0 * p * c, p * (f.sigma + 6.0 * c * c)
+
+
+def family_eval_jet(f: MobiusFamily, t: float) -> Jet4:
+    """The 3-jet of the family member at t (family_derivs)."""
+    return Jet4(t, *family_derivs(f, t))
 
 
 def family_fourth(f: MobiusFamily, t: float) -> float:

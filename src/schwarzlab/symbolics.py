@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import EvalDomainError, ParseError, SeriesMismatchError
 
 VARIABLES = ("t", "u", "p", "q", "r")
@@ -28,6 +30,32 @@ TAN_POLE_TOL = 1e-12
 # Truncated Taylor series
 # ---------------------------------------------------------------------------
 
+def pointwise(fn, x):
+    """fn, a math.* function, at a float x, or at each element of an array x.
+    numpy's own exp, tan and log differ from math's in the last bit on a few
+    inputs, so an array goes through math element by element and a batch
+    stays equal to the scalar path."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def first_where(mask, points):
+    """The first point where mask holds, or None.  mask is a bool at a float
+    point, or a bool array over an array of points (a batch)."""
+    if isinstance(mask, np.ndarray):
+        if not mask.any():
+            return None
+        return float(np.broadcast_to(points, mask.shape)[mask.argmax()])
+    return points if mask else None
+
+
+def _same_point(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 @dataclass(frozen=True)
 class TaylorScalar:
     """Truncated power series about ``base_point``.
@@ -36,10 +64,20 @@ class TaylorScalar:
     series represents sum_k coeffs[k] * (t - base_point)**k up to the stored
     order.  Instances are immutable; every operation returns a new series.
     Arithmetic between two series requires equal base point and order.
+
+    A batch of series, one per point of an array of base points, has that
+    array as its base point and coefficients that are floats or arrays of
+    the same shape.  Every operation then acts element by element with the
+    scalar sequence of floating-point operations, so each element equals the
+    series computed at that point alone.  A domain error at any point raises
+    EvalDomainError naming the first such t.
     """
 
     base_point: float
     coeffs: tuple
+
+    # ndarray <op> series defers to the series, instead of making an object array
+    __array_ufunc__ = None
 
     @property
     def order(self) -> int:
@@ -51,10 +89,13 @@ class TaylorScalar:
 
     @classmethod
     def variable(cls, base_point: float, order: int) -> "TaylorScalar":
-        """The series of t itself about base_point."""
+        """The series of t itself about base_point (a float, or an array of
+        points for a batch)."""
+        if not isinstance(base_point, np.ndarray):
+            base_point = float(base_point)
         if order < 1:
-            return cls(base_point, (float(base_point),))
-        return cls(base_point, (float(base_point), 1.0) + (0.0,) * (order - 1))
+            return cls(base_point, (base_point,))
+        return cls(base_point, (base_point, 1.0) + (0.0,) * (order - 1))
 
     def derivative(self, k: int) -> float:
         """k-th derivative at the base point (k! * coeffs[k])."""
@@ -72,11 +113,19 @@ class TaylorScalar:
             acc = acc * dt + c
         return acc
 
+    def _refuse(self, mask, message: str) -> None:
+        """Raise EvalDomainError with message at the first point where mask holds."""
+        t = first_where(mask, self.base_point)
+        if t is not None:
+            raise EvalDomainError(f"{message} at t = {t}")
+
     # -- arithmetic --------------------------------------------------------
 
     def _lift(self, other) -> "TaylorScalar":
         if isinstance(other, TaylorScalar):
-            if other.base_point != self.base_point or other.order != self.order:
+            base = other.base_point
+            if (base is not self.base_point and not _same_point(base, self.base_point)
+                    or len(other.coeffs) != len(self.coeffs)):
                 raise SeriesMismatchError(
                     f"series mismatch: base {self.base_point}/{other.base_point}, "
                     f"order {self.order}/{other.order}"
@@ -113,13 +162,19 @@ class TaylorScalar:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        n = self.order
+        b = o.coeffs
+        n = len(b) - 1
         out = [0.0] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0.0:
+            # zero is a bool for a float and an array for a batch, which skips
+            # a coefficient only where it is 0 at every point; where it is 0
+            # at some, its terms add +-0 to a sum that is never -0, which for
+            # finite b changes nothing, as skipping does
+            zero = a == 0.0
+            if zero is True or (zero is not False and zero.all()):
                 continue
             for j in range(n - i + 1):
-                out[i + j] += a * o.coeffs[j]
+                out[i + j] += a * b[j]
         return TaylorScalar(self.base_point, tuple(out))
 
     __rmul__ = __mul__
@@ -129,14 +184,14 @@ class TaylorScalar:
         if o is NotImplemented:
             return NotImplemented
         b = o.coeffs
-        if b[0] == 0.0:
-            raise EvalDomainError("series division by a series with zero constant term")
+        self._refuse(b[0] == 0.0, "series division by a series with zero constant term")
         n = self.order
         h = [0.0] * (n + 1)
         for k in range(n + 1):
+            # acc = acc - ..., not -=, which would write into an array coefficient
             acc = self.coeffs[k]
             for j in range(k):
-                acc -= h[j] * b[k - j]
+                acc = acc - h[j] * b[k - j]
             h[k] = acc / b[0]
         return TaylorScalar(self.base_point, tuple(h))
 
@@ -159,27 +214,31 @@ class TaylorScalar:
         return out
 
     # -- elementary functions (standard power-series recurrences) ----------
+    # Sums run left to right in a plain loop, as builtin sum() on floats
+    # compensates its rounding from Python 3.12 on and on arrays does not.
 
     def exp(self) -> "TaylorScalar":
         g = self.coeffs
         n = self.order
         h = [0.0] * (n + 1)
-        h[0] = math.exp(g[0])
+        h[0] = pointwise(math.exp, g[0])
         for m in range(1, n + 1):
-            h[m] = sum(j * g[j] * h[m - j] for j in range(1, m + 1)) / m
+            acc = 0.0
+            for j in range(1, m + 1):
+                acc += j * g[j] * h[m - j]
+            h[m] = acc / m
         return TaylorScalar(self.base_point, tuple(h))
 
     def ln(self) -> "TaylorScalar":
         g = self.coeffs
-        if g[0] <= 0.0:
-            raise EvalDomainError(f"ln of non-positive series value {g[0]}")
+        self._refuse(g[0] <= 0.0, "ln of a non-positive series value")
         n = self.order
         h = [0.0] * (n + 1)
-        h[0] = math.log(g[0])
+        h[0] = pointwise(math.log, g[0])
         for m in range(1, n + 1):
             acc = g[m]
             for j in range(1, m):
-                acc -= (j / m) * h[j] * g[m - j]
+                acc = acc - (j / m) * h[j] * g[m - j]
             h[m] = acc / g[0]
         return TaylorScalar(self.base_point, tuple(h))
 
@@ -188,11 +247,15 @@ class TaylorScalar:
         n = self.order
         s = [0.0] * (n + 1)
         c = [0.0] * (n + 1)
-        s[0] = math.sin(g[0])
-        c[0] = math.cos(g[0])
+        s[0] = pointwise(math.sin, g[0])
+        c[0] = pointwise(math.cos, g[0])
         for m in range(1, n + 1):
-            s[m] = sum(j * g[j] * c[m - j] for j in range(1, m + 1)) / m
-            c[m] = -sum(j * g[j] * s[m - j] for j in range(1, m + 1)) / m
+            acc_s = acc_c = 0.0
+            for j in range(1, m + 1):
+                acc_s += j * g[j] * c[m - j]
+                acc_c += j * g[j] * s[m - j]
+            s[m] = acc_s / m
+            c[m] = -acc_c / m
         base = self.base_point
         return TaylorScalar(base, tuple(s)), TaylorScalar(base, tuple(c))
 
@@ -204,8 +267,7 @@ class TaylorScalar:
 
     def tan(self) -> "TaylorScalar":
         s, c = self._sin_cos()
-        if abs(c.coeffs[0]) < TAN_POLE_TOL:
-            raise EvalDomainError(f"tan pole: cos = {c.coeffs[0]:.3e} at series base")
+        self._refuse(abs(c.coeffs[0]) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}")
         return s / c
 
 
@@ -544,7 +606,7 @@ def taylor_eval(e: Expr, env: Mapping) -> TaylorScalar:
     series = list(env.values())
     base, order = series[0].base_point, series[0].order
     for s in series[1:]:
-        if s.base_point != base or s.order != order:
+        if (s.base_point is not base and not _same_point(s.base_point, base)) or s.order != order:
             raise SeriesMismatchError("environment series disagree on base point or order")
     out = _evaluate(e, env)
     if not isinstance(out, TaylorScalar):

@@ -21,7 +21,6 @@ negligible; the panel's integral is then exact for that interpolant.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -29,10 +28,10 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
 from scipy.interpolate import CubicSpline
 
-from .closed_form import MobiusFamily, family_eval_jet, family_fourth, family_poles
+from .closed_form import MobiusFamily, family_derivs, family_eval_jet, family_fourth, family_poles
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
-from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian, schwarzian
+from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian_at, schwarzian_at
 from .symbolics import Expr, TaylorScalar, parse, taylor_eval, variables_of
 
 CURVE_P_FLOOR = 1e-8
@@ -96,12 +95,28 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
 
 
 def _quad(fn, a, b, breakpoints=()):
-    """int_a^b fn(t) dt for a scalar fn, as the sum of the _panels integrals,
-    with the absolute floor QUAD_EPS on the trailing coefficients."""
+    """int_a^b f(t) dt, where fn(ts) gives f at a 1-D array of nodes, as the
+    sum of the _panels integrals, with the absolute floor QUAD_EPS on the
+    trailing coefficients."""
     if b < a:
         return -_quad(fn, b, a, breakpoints)
-    panels = _panels(lambda ts: np.array([fn(t) for t in ts.tolist()]), a, b, breakpoints, QUAD_EPS)
-    return float(sum(antideriv.sum() for *_, antideriv in panels))
+    return float(sum(antideriv.sum() for *_, antideriv in _panels(fn, a, b, breakpoints, QUAD_EPS)))
+
+
+def _at_nodes(formula, *rows) -> np.ndarray:
+    """formula(*values) at each node of a panel, from 1-D arrays that hold one
+    quantity each at the nodes.  Formulas run node by node on Python floats:
+    a vectorised x**2 or x**3 differs from float pow in the last bit on some
+    inputs, and each node's value must equal the scalar path's."""
+    return np.array([formula(*x) for x in zip(*(row.tolist() for row in rows))])
+
+
+def _rows(values, n: int) -> np.ndarray:
+    """Values that are floats or length-n arrays, one a row of an array."""
+    out = np.empty((len(values), n))
+    for row, x in zip(out, values):
+        row[...] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +126,19 @@ def _quad(fn, a, b, breakpoints=()):
 
 class VariationFn:
     """Base class of every function of t here.  Subclasses provide
-    derivs3(t) -> (v, v', v'', v''')."""
+    derivs3(t) -> (v, v', v'', v'''), and derivs(ts) where they can evaluate
+    a whole array of nodes at once."""
 
     breakpoints: tuple = ()
 
     def derivs3(self, t: float) -> tuple:
         raise NotImplementedError
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        """(v, v', v'', v''') at the nodes of the 1-D float array ts, one row
+        a derivative: shape (4, len(ts)).  Column k equals derivs3(ts[k]).
+        This default calls derivs3 node by node."""
+        return np.array([self.derivs3(t) for t in ts.tolist()], dtype=float).reshape(-1, 4).T
 
     def value(self, t: float) -> float:
         return self.derivs3(t)[0]
@@ -143,6 +165,10 @@ class ExprVariation(VariationFn):
     def derivs3(self, t: float) -> tuple:
         s = taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 3)})
         return (s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        # one batch of series, based at every node
+        return _rows(self.derivs3(ts), len(ts))
 
     def fourth(self, t: float) -> float:
         return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
@@ -219,6 +245,12 @@ class LinearCombination(VariationFn):
             v3 += c * d3
         return (v0, v1, v2, v3)
 
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((4, len(ts)))
+        for c, v in self.terms:
+            out += c * v.derivs(ts)
+        return out
+
 
 class CurveFn(VariationFn):
     """A curve is a variation on a domain: a function of t whose (u, u',
@@ -227,10 +259,11 @@ class CurveFn(VariationFn):
     jet(t) is the one method a subclass must provide; derivs3(t) reads it.
     A curve that inherits derivs3 from a variation class defines jet from
     that derivs3 instead.  Construction rejects a domain that is not finite
-    with t0 < t1, samples the jet on a grid and rejects curves that come too
-    close to u' = 0, or whose u moves against the sign of u' between two
-    samples: by the mean value theorem a continuous u cannot, so a pole lies
-    between them."""
+    with t0 < t1, evaluates the curve on a grid in one derivs call (so an
+    evaluation error anywhere on the grid is raised as it is) and rejects
+    curves that come too close to u' = 0, or whose u moves against the sign
+    of u' between two samples: by the mean value theorem a continuous u
+    cannot, so a pole lies between them."""
 
     domain: tuple
 
@@ -245,25 +278,23 @@ class CurveFn(VariationFn):
         t0, t1 = self.domain
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError(f"curve {self.describe()} needs a finite domain t0 < t1, got [{t0}, {t1}]")
+        ts = t0 + (t1 - t0) * np.arange(n) / (n - 1)
+        us, ps = self.derivs(ts)[:2]
         last_sign, last_u = 0.0, 0.0
-        for i in range(n):
-            t = t0 + (t1 - t0) * i / (n - 1)
-            jet = self.jet(t)
-            if abs(jet.p) < CURVE_P_FLOOR:
-                raise SingularJetError(
-                    f"curve {self.describe()} has |u'| = {abs(jet.p):.2e} at t = {t}"
-                )
-            sign = math.copysign(1.0, jet.p)
+        for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
+            if abs(p) < CURVE_P_FLOOR:
+                raise SingularJetError(f"curve {self.describe()} has |u'| = {abs(p):.2e} at t = {t}")
+            sign = math.copysign(1.0, p)
             if last_sign and sign != last_sign:
                 raise SingularJetError(
                     f"curve {self.describe()} has u' changing sign near t = {t}"
                 )
-            if last_sign and sign * (jet.u - last_u) < -CURVE_U_ROUNDING * max(abs(jet.u), abs(last_u)):
+            if last_sign and sign * (u - last_u) < -CURVE_U_ROUNDING * max(abs(u), abs(last_u)):
                 raise SingularJetError(
                     f"curve {self.describe()} has u moving against the sign of u' near t = {t}: "
                     "a pole lies in its domain"
                 )
-            last_sign, last_u = sign, jet.u
+            last_sign, last_u = sign, u
 
 
 class MobiusCurve(CurveFn):
@@ -279,6 +310,9 @@ class MobiusCurve(CurveFn):
 
     def jet(self, t: float) -> Jet4:
         return family_eval_jet(self.family, t)
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        return _rows(family_derivs(self.family, ts), len(ts))
 
     def fourth(self, t: float) -> float:
         return family_fourth(self.family, t)
@@ -362,14 +396,16 @@ class DuSolution(VariationFn):
         self.k0 = float(v0) / u.jet(self.t0).p
         self.breakpoints = tuple(phi.breakpoints)
 
+        def integrands(t, phi_t, p, q, r):
+            return phi_t / p, schwarzian_at(t, p, q, r) * phi_t / p
+
         def sample(ts):
-            # no jet is evaluated where phi vanishes
+            # u is evaluated, in one batch, only where phi does not vanish
+            phi_ts = np.array([phi.value(t) for t in ts.tolist()])
+            live = phi_ts != 0.0
             fg = np.zeros((len(ts), 2))
-            for k, t in enumerate(ts.tolist()):
-                phi_t = phi.value(t)
-                if phi_t:
-                    jet = u.jet(t)
-                    fg[k] = (phi_t / jet.p, schwarzian(jet) * phi_t / jet.p)
+            if live.any():
+                fg[live] = _at_nodes(integrands, ts[live], phi_ts[live], *u.derivs(ts[live])[1:])
             return fg
 
         self._pieces = []
@@ -377,22 +413,25 @@ class DuSolution(VariationFn):
         for a, b, antideriv in _panels(sample, self.t0, self.t1, phi.breakpoints):
             self._pieces.append((a, b, float(total[0]), antideriv[:, 0]))
             total += antideriv.sum(axis=0)
+        self._lefts = np.array([a for a, *_ in self._pieces])
         self.schwarzian_integral = float(total[1])
 
-    def _cumulative(self, t: float) -> float:
-        t = min(max(t, self.t0), self.t1)
-        i = bisect_right(self._pieces, t, key=lambda piece: piece[0])
-        a, b, w, antideriv = self._pieces[max(i - 1, 0)]
-        return w + float(chebval((2.0 * t - a - b) / (b - a), antideriv))
-
-    def value(self, t: float) -> float:
-        return self.u.jet(t).p * (self.k0 + self._cumulative(t))
+    def _cumulative(self, ts: np.ndarray) -> np.ndarray:
+        """W at the nodes of the 1-D array ts, clamped to [t0, t1]."""
+        ts = np.clip(ts, self.t0, self.t1)
+        piece = np.maximum(np.searchsorted(self._lefts, ts, side="right") - 1, 0)
+        out = np.empty(len(ts))
+        for i in np.unique(piece).tolist():
+            a, b, w, antideriv = self._pieces[i]
+            at = piece == i
+            out[at] = w + chebval((2.0 * ts[at] - a - b) / (b - a), antideriv)
+        return out
 
     def derivs3(self, t: float) -> tuple:
         jet = self.u.jet(t)
         p, q, r = jet.p, jet.q, jet.r
         f0, f1, f2, _ = self.phi.derivs3(t)
-        w = self.k0 + self._cumulative(t)
+        w = self.k0 + float(self._cumulative(np.array([t]))[0])
         v = p * w
         v1 = q * w + f0
         v2 = r * w + q * f0 / p + f1
@@ -408,16 +447,17 @@ class DuSolution(VariationFn):
         """max |D_u(v) - phi| on a verification grid, with v' recomputed by a
         fourth-order central difference of v = u' (k0 + W), so the check is
         independent of the derivative formulas in derivs3."""
-        worst = 0.0
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
-        for i in range(n):
-            t = a + (b - a) * i / (n - 1)
-            vals = [self.value(t + k * h) for k in (-2, -1, 1, 2)]
-            v1_fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-            jet = self.u.jet(t)
-            du = v1_fd - jet.q * (self.k0 + self._cumulative(t))
-            worst = max(worst, abs(du - self.phi.value(t)))
-        return worst
+        ts = a + (b - a) * np.arange(n) / (n - 1)
+        # the four stencil points of every t, then t itself, in one batch
+        nodes = np.concatenate([ts + k * h for k in (-2, -1, 1, 2)] + [ts])
+        _, p, q, _ = self.u.derivs(nodes).reshape(4, 5, n)
+        w = (self.k0 + self._cumulative(nodes)).reshape(5, n)
+        vals = p[:4] * w[:4]
+        v1_fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+        du = v1_fd - q[4] * w[4]
+        phi = np.array([self.phi.value(t) for t in ts.tolist()])
+        return max([0.0] + np.abs(du - phi).tolist())
 
     def describe(self) -> str:
         return f"du_solution({self.phi.describe()})"
@@ -471,12 +511,13 @@ class AdmissibleVariation(VariationFn):
         """sum(delta_form("schwarzian", u, self, t0, t1)) as a linear functional:
         D_u(v + vhat) = phi + D_u(vhat), so it is base.schwarzian_integral
         + int_t0^{t0+eps} S(u) D_u(vhat)/u' dt + B |_t0^t1."""
-        def glue(t):
-            jet, g = self.u.jet(t), self._glue(t)
-            return schwarzian(jet) * (g[1] - (jet.q / jet.p) * g[0]) / jet.p
+        def glue(t, p, q, r):
+            g = self._glue(t)
+            return schwarzian_at(t, p, q, r) * (g[1] - (q / p) * g[0]) / p
 
         return (self.base.schwarzian_integral
-                + _quad(glue, self.t0, self.join, self.u.breakpoints)
+                + _quad(lambda ts: _at_nodes(glue, ts, *self.u.derivs(ts)[1:]),
+                        self.t0, self.join, self.u.breakpoints)
                 + _boundary("schwarzian", self.u, self, self.t0, self.t1))
 
     def endpoint_residual(self) -> float:
@@ -520,13 +561,13 @@ def admissible_variation(u: CurveFn, phi: VariationFn, eps: float) -> Admissible
 
 def functional_IL(u: CurveFn, t0: float, t1: float) -> float:
     """Quadrature of (u''/u')^2 over [t0, t1]."""
-    return _quad(lambda t: lagrangian(u.jet(t)), t0, t1, u.breakpoints)
+    return _quad(lambda ts: _at_nodes(lagrangian_at, ts, *u.derivs(ts)[1:3]), t0, t1, u.breakpoints)
 
 
 def functional_IS(u: CurveFn, t0: float, t1: float) -> float:
     """Quadrature of S(u) over [t0, t1].  Equals the boundary difference of
     u''/u' minus half of functional_IL (checked in the test suite)."""
-    return _quad(lambda t: schwarzian(u.jet(t)), t0, t1, u.breakpoints)
+    return _quad(lambda ts: _at_nodes(schwarzian_at, ts, *u.derivs(ts)[1:]), t0, t1, u.breakpoints)
 
 
 _FUNCTIONALS = {"I_L": functional_IL, "I_S": functional_IS}
@@ -551,22 +592,21 @@ def delta_fd(which: str, u: CurveFn, v: VariationFn, h: float = 1e-5,
     return (4.0 * d2 - d1) / 3.0
 
 
+# each form's integrand at one node, from t, u', u'', u''' and v, v', v''
+_FORM_INTEGRANDS = {
+    "direct": lambda t, p, q, r, v0, v1, v2: 2.0 * q * v2 / p ** 2 - 2.0 * q ** 2 * v1 / p ** 3,
+    "by_parts": lambda t, p, q, r, v0, v1, v2: (-2.0 * r / p ** 2 + 2.0 * q ** 2 / p ** 3) * v1,
+    "du_factored": lambda t, p, q, r, v0, v1, v2:
+        (-2.0 * r / p + 3.0 * q ** 2 / p ** 2) * (v1 - (q / p) * v0) / p,
+    "schwarzian": lambda t, p, q, r, v0, v1, v2: schwarzian_at(t, p, q, r) * (v1 - (q / p) * v0) / p,
+}
+
+
 def _integrand(which_form: str, u: CurveFn, v: VariationFn):
     if which_form not in FORMS:
         raise ValueError(f"unknown form {which_form!r}; expected one of {FORMS}")
-
-    def f(t):
-        j = u.jet(t)
-        v0, v1, v2, _ = v.derivs3(t)
-        du = v1 - (j.q / j.p) * v0
-        if which_form == "direct":
-            return 2.0 * j.q * v2 / j.p ** 2 - 2.0 * j.q ** 2 * v1 / j.p ** 3
-        if which_form == "by_parts":
-            return (-2.0 * j.r / j.p ** 2 + 2.0 * j.q ** 2 / j.p ** 3) * v1
-        if which_form == "du_factored":
-            return (-2.0 * j.r / j.p + 3.0 * j.q ** 2 / j.p ** 2) * du / j.p
-        return schwarzian(j) * du / j.p
-    return f
+    form = _FORM_INTEGRANDS[which_form]
+    return lambda ts: _at_nodes(form, ts, *u.derivs(ts)[1:], *v.derivs(ts)[:3])
 
 
 def _boundary(which_form: str, u: CurveFn, v: VariationFn, t0: float, t1: float) -> float:

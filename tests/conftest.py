@@ -147,7 +147,8 @@ def mobius_of_jet(jet: Jet4, a: float, b: float, c: float, d: float) -> Jet4:
     from schwarzlab.symbolics import TaylorScalar
 
     u = TaylorScalar(jet.t, (jet.u, jet.p, jet.q / 2.0, jet.r / 6.0))
-    return Jet4.from_series((a * u + b) / (c * u + d))
+    s = (a * u + b) / (c * u + d)
+    return Jet4(jet.t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
 
 
 def exact_derivatives(family, t, n=4):

@@ -368,3 +368,29 @@ def test_config_file_not_an_object_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "JSON object" in err
+
+
+@pytest.mark.parametrize("value", [[1], "abc"], ids=["list", "not-a-number"])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, value):
+    # each config value goes through its flag's own type, as on the command line
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": value}))
+    code, out, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1", "--config", str(conf)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'tol'" in err and "Traceback" not in err
+
+
+def test_usage_error_exits_1_not_2(capsys):
+    # exit 2 means a singular stop; a flag argparse cannot read is bad input
+    code, out, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1", "--tol", "abc"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "--help"])
+    assert info.value.code == 0
+    assert "--t-end" in capsys.readouterr().out

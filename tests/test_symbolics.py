@@ -2,6 +2,7 @@
 tests, including the module's pointwise-equality invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,3 +359,59 @@ def test_taylor_termwise_derivative():
     assert d.order == 3
     assert np.allclose(d.coeffs, s.coeffs[:4], rtol=0, atol=1e-15)  # exp' = exp
     assert abs(s(0.1) - math.exp(0.1)) <= 1e-6  # truncated polynomial evaluation
+
+
+# ---------------------------------------------------------------------------
+# batches of series: one base point per element of an array
+# ---------------------------------------------------------------------------
+
+def _at_point(s, i):
+    """The scalar series that element i of a batch stands for."""
+    return TaylorScalar(float(s.base_point[i]),
+                        tuple(float(c[i]) if isinstance(c, np.ndarray) else c for c in s.coeffs))
+
+
+BATCH_OPS = {
+    "add": lambda a, b, x: a + b,
+    "sub": lambda a, b, x: a - b,
+    "mul": lambda a, b, x: a * b,
+    "div": lambda a, b, x: a / b,
+    "pow": lambda a, b, x: a ** 3,
+    "neg": lambda a, b, x: -a,
+    "sin": lambda a, b, x: a.sin(),
+    "cos": lambda a, b, x: a.cos(),
+    "tan": lambda a, b, x: a.tan(),
+    "exp": lambda a, b, x: a.exp(),
+    "ln": lambda a, b, x: a.ln(),
+    # float and array coefficients mixed, and floats lifted to series
+    "mixed": lambda a, b, x: (2.0 - x * a) / (1.5 + x) + 0.5 * x ** 2,
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCH_OPS))
+def test_batch_series_equals_the_scalar_series_at_every_point(op):
+    rng = np.random.default_rng(11)
+    n, order = 40, 4
+    ts = rng.uniform(-1.0, 1.0, n)
+
+    def batch():
+        coeffs = [rng.uniform(0.5, 1.5, n)] + [rng.uniform(-1.0, 1.0, n) for _ in range(order)]
+        coeffs[2][::3] = 0.0  # zero at some points only
+        return TaylorScalar(ts, tuple(coeffs))
+
+    a, b, x = batch(), batch(), TaylorScalar.variable(ts, order)
+    got = BATCH_OPS[op](a, b, x)
+    for i in range(n):
+        want = BATCH_OPS[op](_at_point(a, i), _at_point(b, i), _at_point(x, i))
+        assert [np.broadcast_to(c, (n,))[i] for c in got.coeffs] == list(want.coeffs)
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("tan(t)", math.pi / 2),
+    ("ln(t - 0.3)", 0.2),
+    ("1/(t - 0.5)", 0.5),
+], ids=["tan-pole", "ln-non-positive", "zero-divisor"])
+def test_batch_domain_error_names_the_first_bad_point(text, bad):
+    ts = np.array([0.9, 0.8, bad, 0.1])
+    with pytest.raises(EvalDomainError, match=re.escape(f"t = {bad!r}")):
+        taylor_eval(parse(text), {"t": TaylorScalar.variable(ts, 3)})

@@ -3,6 +3,7 @@ the integrating-factor solver, admissible variations, and the critical-point
 test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_forms_agree_on_random_pairs():
 
 def test_quad_not_converged_raises():
     with pytest.raises(QuadratureError, match="did not converge") as info:
-        _quad(lambda t: math.sin(1.0 / t), 0.0, 1.0)
+        _quad(lambda ts: np.sin(1.0 / ts), 0.0, 1.0)
     assert info.value.abserr > 0.0
 
 
@@ -203,7 +204,8 @@ def test_quad_matches_scipy_quad_oracle():
         points = (kink, *bump.support)
         expected = quad(f, t0, t1, points=[x for x in points if t0 < x < t1],
                         epsabs=1e-13, epsrel=1e-13, limit=500)[0]
-        assert abs(_quad(f, t0, t1, points) - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(_quad(lambda ts: np.array([f(t) for t in ts]), t0, t1, points)
+                   - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_unknown_form_rejected():
@@ -487,3 +489,56 @@ def test_trajectory_curve_fourth():
     from schwarzlab.schwarzian import el_rhs
 
     assert u.fourth(0.5) == el_rhs(jet)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation: derivs(ts) on a whole array of nodes
+# ---------------------------------------------------------------------------
+
+FUNCTIONS_OF_T = {
+    "expr-variation": lambda: ExprVariation("0.3*t^2 + sin(t) - exp(t/2) + ln(2 + t) + tan(t/3) + 1/(3 - t)"),
+    "bump": lambda: BumpFn(0.5, 0.3, 0.8),
+    "spline": lambda: SplineVariation(np.linspace(0.0, 1.0, 9), np.sin(2.0 * np.linspace(0.0, 1.0, 9))),
+    "linear-combination": lambda: LinearCombination([(2.0, ExprVariation("t^3")), (-1.0, BumpFn(0.4, 0.2))]),
+    "curve-plus-bump": lambda: LinearCombination([(1.0, CURVES_OF_T["mobius"]()), (-0.5, BumpFn(0.5, 0.3, 0.8))]),
+    "perturbed": lambda: PerturbedCurve(CURVES_OF_T["expr"](), ExprVariation("0.3*t^2 + sin(t)"), 0.01),
+    "du-solution": lambda: solve_du(CURVES_OF_T["mobius"](), BumpFn(0.5, 0.3), 0.2),
+    "admissible": lambda: admissible_variation(CURVES_OF_T["expr"](), BumpFn(0.5, 0.3), 0.05),
+    **{f"curve-{kind}": make for kind, make in CURVES_OF_T.items()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS_OF_T))
+def test_batch_derivs_equal_the_scalar_path(kind):
+    # every value ==, not close: the batch path must give the scalar numbers
+    fn = FUNCTIONS_OF_T[kind]()
+    ts = np.concatenate([np.linspace(0.0, 1.0, 41), np.random.default_rng(5).uniform(0.0, 1.0, 20)])
+    got = fn.derivs(ts)
+    assert got.shape == (4, len(ts))
+    assert np.array_equal(got, np.array([fn.derivs3(t) for t in ts.tolist()]).T)
+    if isinstance(fn, CurveFn):
+        jets = [fn.jet(t) for t in ts.tolist()]
+        assert np.array_equal(got, np.array([(j.u, j.p, j.q, j.r) for j in jets]).T)
+
+
+def test_mobius_batch_derivs_equal_jets_on_random_families():
+    rng = np.random.default_rng(29)
+    for cls in ("hyperbolic", "parabolic", "elliptic"):
+        for _ in range(10):
+            u = random_mobius_curve(rng, cls)
+            t0, t1 = u.domain
+            ts = np.concatenate([np.linspace(t0, t1, 101), rng.uniform(t0, t1, 100)])
+            jets = [u.jet(t) for t in ts.tolist()]
+            assert np.array_equal(u.derivs(ts), np.array([(j.u, j.p, j.q, j.r) for j in jets]).T)
+
+
+@pytest.mark.parametrize("family, pole", [
+    (MobiusFamily(1.0, 0.0, 1.0, -0.5, 0.0), 0.5),
+    (MobiusFamily(1.0, 0.0, 0.0, 1.0, 2.0), math.pi / 2),
+], ids=["parabolic", "elliptic"])
+def test_mobius_batch_derivs_raise_over_a_pole_as_jet_does(family, pole):
+    u = MobiusCurve(family, (0.0, 0.4))
+    with pytest.raises(SingularTimeError):
+        u.jet(pole)
+    with pytest.raises(SingularTimeError, match=re.escape(f"t = {pole!r}")):
+        u.derivs(np.array([0.1, 0.3, pole, pole + 0.2]))
