@@ -66,7 +66,6 @@ from .variation import (
     LinearCombination,
     MobiusCurve,
     PerturbedCurve,
-    SplineVariation,
     TrajectoryCurve,
     VariationFn,
     admissible_variation,

@@ -231,7 +231,10 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_variation(args) -> int:
-    t0, t1 = (float(x) for x in args.interval.split(","))
+    parts = args.interval.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--interval must be t0,t1, got {args.interval!r}")
+    t0, t1 = (float(x) for x in parts)
     if args.u:
         curve = ExprCurve(args.u, (t0, t1))
     elif args.mobius:

@@ -154,6 +154,6 @@ def verify_linear_basis(lin: LinearizedOde, basis: Sequence, ts: Sequence) -> fl
     for t in ts:
         a1, a2, a3 = linearize(lin.field, lin.base, t)
         for v in fns:
-            _, v1, v2, v3 = v.derivs3(t)
+            _, v1, v2, v3 = v.derivs(t)
             worst = max(worst, abs(v.fourth(t) - a3 * v3 - a2 * v2 - a1 * v1))
     return worst

@@ -50,13 +50,21 @@ def first_where(mask, points):
     return points if mask else None
 
 
+def _exp_overflows(x: float) -> bool:
+    try:
+        math.exp(x)
+    except OverflowError:
+        return True
+    return False
+
+
 def _same_point(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
     return a == b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorScalar:
     """Truncated power series about ``base_point``.
 
@@ -70,7 +78,8 @@ class TaylorScalar:
     the same shape.  Every operation then acts element by element with the
     scalar sequence of floating-point operations, so each element equals the
     series computed at that point alone.  A domain error at any point raises
-    EvalDomainError naming the first such t.
+    EvalDomainError naming the first such t.  Series compare and hash by
+    identity, as an elementwise == on a batch has no single truth value.
     """
 
     base_point: float
@@ -221,7 +230,10 @@ class TaylorScalar:
         g = self.coeffs
         n = self.order
         h = [0.0] * (n + 1)
-        h[0] = pointwise(math.exp, g[0])
+        try:
+            h[0] = pointwise(math.exp, g[0])
+        except OverflowError:
+            self._refuse(pointwise(_exp_overflows, g[0]), "exp overflows the float range")
         for m in range(1, n + 1):
             acc = 0.0
             for j in range(1, m + 1):
@@ -546,7 +558,10 @@ def _apply_func(name: str, x: Number) -> Number:
             raise EvalDomainError(f"tan pole within tolerance at argument {x}")
         return math.tan(x)
     if name == "exp":
-        return math.exp(x)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvalDomainError(f"exp of {x} overflows the float range") from None
     if name == "ln":
         if x <= 0.0:
             raise EvalDomainError(f"ln of non-positive value {x}")

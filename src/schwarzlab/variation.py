@@ -26,9 +26,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
-from scipy.interpolate import CubicSpline
 
-from .closed_form import MobiusFamily, family_derivs, family_eval_jet, family_fourth, family_poles
+from .closed_form import MobiusFamily, family_derivs, family_fourth, family_poles
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian_at, schwarzian_at
@@ -111,9 +110,13 @@ def _at_nodes(formula, *rows) -> np.ndarray:
     return np.array([formula(*x) for x in zip(*(row.tolist() for row in rows))])
 
 
-def _rows(values, n: int) -> np.ndarray:
-    """Values that are floats or length-n arrays, one a row of an array."""
-    out = np.empty((len(values), n))
+def _rows(values, t):
+    """derivs' result at t from its four values: the tuple of them as Python
+    floats at a float t, and at an array t the array of shape (4, len(t))
+    whose rows they are, each a float or an array over t."""
+    if not isinstance(t, np.ndarray):
+        return tuple(map(float, values))
+    out = np.empty((4, len(t)))
     for row, x in zip(out, values):
         row[...] = x
     return out
@@ -125,26 +128,22 @@ def _rows(values, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class VariationFn:
-    """Base class of every function of t here.  Subclasses provide
-    derivs3(t) -> (v, v', v'', v'''), and derivs(ts) where they can evaluate
-    a whole array of nodes at once."""
+    """Base class of every function of t here.  derivs(t) is the one method
+    a subclass provides; value and var_jet read it."""
 
     breakpoints: tuple = ()
 
-    def derivs3(self, t: float) -> tuple:
+    def derivs(self, t):
+        """(v, v', v'', v''') at t.  At a float t, four floats; at a 1-D float
+        array t, an array of shape (4, len(t)) whose column k == derivs(t[k]),
+        so a panel of nodes is read in one call."""
         raise NotImplementedError
 
-    def derivs(self, ts: np.ndarray) -> np.ndarray:
-        """(v, v', v'', v''') at the nodes of the 1-D float array ts, one row
-        a derivative: shape (4, len(ts)).  Column k equals derivs3(ts[k]).
-        This default calls derivs3 node by node."""
-        return np.array([self.derivs3(t) for t in ts.tolist()], dtype=float).reshape(-1, 4).T
-
-    def value(self, t: float) -> float:
-        return self.derivs3(t)[0]
+    def value(self, t):
+        return self.derivs(t)[0]
 
     def var_jet(self, t: float) -> VarJet:
-        v0, v1, v2, _ = self.derivs3(t)
+        v0, v1, v2, _ = self.derivs(t)
         return VarJet(v0, v1, v2)
 
     def describe(self) -> str:
@@ -162,15 +161,12 @@ class ExprVariation(VariationFn):
             raise ValueError(f"expression may only reference t, found {sorted(extra)}")
         self.text = str(self.expr)
 
-    def derivs3(self, t: float) -> tuple:
+    def derivs(self, t):
+        # at an array, one batch of series based at every node
         s = taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 3)})
-        return (s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
+        return _rows((s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3)), t)
 
-    def derivs(self, ts: np.ndarray) -> np.ndarray:
-        # one batch of series, based at every node
-        return _rows(self.derivs3(ts), len(ts))
-
-    def fourth(self, t: float) -> float:
+    def fourth(self, t):
         return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
 
     def describe(self) -> str:
@@ -194,35 +190,35 @@ class BumpFn(VariationFn):
     def breakpoints(self) -> tuple:
         return self.support
 
+    def _x(self, t):
+        return (t - self.center) * (1.0 / self.radius)
+
     def value(self, t: float) -> float:
-        x = (t - self.center) / self.radius
+        """derivs(t)[0] at a float t: the same formula read at order 0, at a
+        fraction of the cost of the series."""
+        x = self._x(t)
         s = 1.0 - x * x
         if s <= 1e-12:
             return 0.0
         return self.amplitude * math.exp(-1.0 / s)
 
-    def derivs3(self, t: float) -> tuple:
-        x0 = (t - self.center) / self.radius
-        if 1.0 - x0 * x0 <= 1e-12:
+    def derivs(self, t):
+        x0 = self._x(t)
+        inside = 1.0 - x0 * x0 > 1e-12
+        if isinstance(t, np.ndarray):
+            # where the bump vanishes, the series is taken at the centre and zeroed
+            at = np.where(inside, t, self.center)
+        elif inside:
+            at = t
+        else:
             return (0.0, 0.0, 0.0, 0.0)
-        x = (TaylorScalar.variable(t, 3) - self.center) * (1.0 / self.radius)
+        x = self._x(TaylorScalar.variable(at, 3))
         psi = (-(1.0 / (1.0 - x * x))).exp() * self.amplitude
-        return (psi.coeffs[0], psi.derivative(1), psi.derivative(2), psi.derivative(3))
+        values = (psi.coeffs[0], psi.derivative(1), psi.derivative(2), psi.derivative(3))
+        return _rows([d * inside for d in values], t)
 
     def describe(self) -> str:
         return f"bump(center={self.center:g},radius={self.radius:g},amplitude={self.amplitude:g})"
-
-
-class SplineVariation(VariationFn):
-    """Cubic spline through samples; third derivative is piecewise constant."""
-
-    def __init__(self, ts: Sequence, vs: Sequence):
-        self._spline = CubicSpline(np.asarray(ts, dtype=float), np.asarray(vs, dtype=float))
-        self.breakpoints = tuple(float(t) for t in ts[1:-1])
-
-    def derivs3(self, t: float) -> tuple:
-        sp = self._spline
-        return (float(sp(t)), float(sp(t, 1)), float(sp(t, 2)), float(sp(t, 3)))
 
 
 class LinearCombination(VariationFn):
@@ -235,44 +231,30 @@ class LinearCombination(VariationFn):
             bps.extend(v.breakpoints)
         self.breakpoints = tuple(bps)
 
-    def derivs3(self, t: float) -> tuple:
-        v0 = v1 = v2 = v3 = 0.0
+    def derivs(self, t):
+        # whole arrays, (4,) or (4, len(t)): row by row costs 4x the time
+        out = np.zeros((4,) + np.shape(t))
         for c, v in self.terms:
-            d0, d1, d2, d3 = v.derivs3(t)
-            v0 += c * d0
-            v1 += c * d1
-            v2 += c * d2
-            v3 += c * d3
-        return (v0, v1, v2, v3)
-
-    def derivs(self, ts: np.ndarray) -> np.ndarray:
-        out = np.zeros((4, len(ts)))
-        for c, v in self.terms:
-            out += c * v.derivs(ts)
-        return out
+            out += c * np.asarray(v.derivs(t))
+        return _rows(out, t)
 
 
 class CurveFn(VariationFn):
     """A curve is a variation on a domain: a function of t whose (u, u',
     u'', u''') is its jet, on a finite domain t0 < t1 where u' != 0.
 
-    jet(t) is the one method a subclass must provide; derivs3(t) reads it.
-    A curve that inherits derivs3 from a variation class defines jet from
-    that derivs3 instead.  Construction rejects a domain that is not finite
-    with t0 < t1, evaluates the curve on a grid in one derivs call (so an
-    evaluation error anywhere on the grid is raised as it is) and rejects
-    curves that come too close to u' = 0, or whose u moves against the sign
-    of u' between two samples: by the mean value theorem a continuous u
-    cannot, so a pole lies between them."""
+    jet(t) reads derivs(t), which a subclass provides as every function of
+    t does.  Construction rejects a domain that is not finite with t0 < t1,
+    evaluates the curve on a grid in one derivs call (so an evaluation error
+    anywhere on the grid is raised as it is) and rejects curves that come
+    too close to u' = 0, or whose u moves against the sign of u' between two
+    samples: by the mean value theorem a continuous u cannot, so a pole lies
+    between them."""
 
     domain: tuple
 
     def jet(self, t: float) -> Jet4:
-        raise NotImplementedError
-
-    def derivs3(self, t: float) -> tuple:
-        j = self.jet(t)
-        return (j.u, j.p, j.q, j.r)
+        return Jet4(t, *self.derivs(t))
 
     def _check_regular(self, n: int = 101):
         t0, t1 = self.domain
@@ -308,13 +290,10 @@ class MobiusCurve(CurveFn):
             raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
         self._check_regular()
 
-    def jet(self, t: float) -> Jet4:
-        return family_eval_jet(self.family, t)
+    def derivs(self, t):
+        return _rows(family_derivs(self.family, t), t)
 
-    def derivs(self, ts: np.ndarray) -> np.ndarray:
-        return _rows(family_derivs(self.family, ts), len(ts))
-
-    def fourth(self, t: float) -> float:
+    def fourth(self, t):
         return family_fourth(self.family, t)
 
     def describe(self) -> str:
@@ -331,9 +310,6 @@ class ExprCurve(ExprVariation, CurveFn):
         self.domain = (float(domain[0]), float(domain[1]))
         self._check_regular()
 
-    def jet(self, t: float) -> Jet4:
-        return Jet4(t, *self.derivs3(t))
-
 
 class TrajectoryCurve(CurveFn):
     """Integrated solution used as a curve, through its dense output.  The
@@ -346,10 +322,16 @@ class TrajectoryCurve(CurveFn):
         self.domain = (float(domain[0]), float(domain[1])) if domain else (lo, hi)
         self._check_regular()
 
-    def jet(self, t: float) -> Jet4:
-        return self.traj.jet_at(t)
+    def derivs(self, t):
+        # the dense output is read node by node, as at a float
+        if isinstance(t, np.ndarray):
+            return _at_nodes(self.derivs, t).reshape(-1, 4).T
+        j = self.traj.jet_at(t)
+        return (j.u, j.p, j.q, j.r)
 
-    def fourth(self, t: float) -> float:
+    def fourth(self, t):
+        if isinstance(t, np.ndarray):
+            return _at_nodes(self.fourth, t)
         return el_rhs(self.jet(t))
 
     def describe(self) -> str:
@@ -367,9 +349,6 @@ class PerturbedCurve(LinearCombination, CurveFn):
         self.s = float(s)
         self.domain = curve.domain
         self._check_regular()
-
-    def jet(self, t: float) -> Jet4:
-        return Jet4(t, *self.derivs3(t))
 
     def describe(self) -> str:
         return f"perturbed({self.curve.describe()}, s={self.s:g})"
@@ -416,8 +395,10 @@ class DuSolution(VariationFn):
         self._lefts = np.array([a for a, *_ in self._pieces])
         self.schwarzian_integral = float(total[1])
 
-    def _cumulative(self, ts: np.ndarray) -> np.ndarray:
-        """W at the nodes of the 1-D array ts, clamped to [t0, t1]."""
+    def _cumulative(self, ts):
+        """W at a float, or at the nodes of a 1-D array ts, clamped to [t0, t1]."""
+        if not isinstance(ts, np.ndarray):
+            return float(self._cumulative(np.array([ts]))[0])
         ts = np.clip(ts, self.t0, self.t1)
         piece = np.maximum(np.searchsorted(self._lefts, ts, side="right") - 1, 0)
         out = np.empty(len(ts))
@@ -427,26 +408,25 @@ class DuSolution(VariationFn):
             out[at] = w + chebval((2.0 * ts[at] - a - b) / (b - a), antideriv)
         return out
 
-    def derivs3(self, t: float) -> tuple:
-        jet = self.u.jet(t)
-        p, q, r = jet.p, jet.q, jet.r
-        f0, f1, f2, _ = self.phi.derivs3(t)
-        w = self.k0 + float(self._cumulative(np.array([t]))[0])
+    def derivs(self, t):
+        _, p, q, r = self.u.derivs(t)
+        f0, f1, f2, _ = self.phi.derivs(t)
+        w = self.k0 + self._cumulative(t)
         v = p * w
         v1 = q * w + f0
         v2 = r * w + q * f0 / p + f1
         v3 = (
             self.u.fourth(t) * w
             + 2.0 * r * f0 / p
-            + q * (f1 * p - f0 * q) / p ** 2
+            + q * (f1 * p - f0 * q) / (p * p)
             + f2
         )
-        return (v, v1, v2, v3)
+        return _rows((v, v1, v2, v3), t)
 
     def residual(self, n: int = 64, h: float = 1e-4) -> float:
         """max |D_u(v) - phi| on a verification grid, with v' recomputed by a
         fourth-order central difference of v = u' (k0 + W), so the check is
-        independent of the derivative formulas in derivs3."""
+        independent of the derivative formulas in derivs."""
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
         ts = a + (b - a) * np.arange(n) / (n - 1)
         # the four stencil points of every t, then t itself, in one batch
@@ -485,27 +465,22 @@ class AdmissibleVariation(VariationFn):
         self.join = self.t0 + self.eps
         self.breakpoints = tuple(base.breakpoints) + (self.join,)
 
-    def _glue(self, t: float) -> tuple:
-        if t > self.join:
-            return (0.0, 0.0, 0.0, 0.0)
-        d = t - self.join
-        return (self.c * d * d, 2.0 * self.c * d, 2.0 * self.c, 0.0)
+    def _glue(self, t) -> tuple:
+        """(vhat, vhat', vhat'', vhat''') at a float or an array t; on is
+        False, so each is 0, past the join."""
+        on = t <= self.join
+        d = (t - self.join) * on
+        return (self.c * d * d, 2.0 * self.c * d, 2.0 * self.c * on, 0.0)
 
-    def derivs3(self, t: float) -> tuple:
-        a = self.base.derivs3(t)
-        b = self._glue(t)
-        return tuple(x + y for x, y in zip(a, b))
+    def derivs(self, t):
+        return _rows([x + y for x, y in zip(self.base.derivs(t), self._glue(t))], t)
 
     def glue_bound(self, n: int = 33) -> float:
         """K such that max(|vhat|, |D_u(vhat)|) <= K * eps on the glue."""
-        worst = 0.0
-        for i in range(n):
-            t = self.t0 + self.eps * i / (n - 1)
-            g = self._glue(t)
-            jet = self.u.jet(t)
-            du = g[1] - (jet.q / jet.p) * g[0]
-            worst = max(worst, abs(g[0]), abs(du))
-        return worst / self.eps
+        ts = self.t0 + self.eps * np.arange(n) / (n - 1)
+        g0, g1, _, _ = self._glue(ts)
+        _, p, q, _ = self.u.derivs(ts)
+        return float(max(np.abs(g0).max(), np.abs(g1 - (q / p) * g0).max())) / self.eps
 
     def delta_IS(self) -> float:
         """sum(delta_form("schwarzian", u, self, t0, t1)) as a linear functional:
@@ -578,6 +553,8 @@ def delta_fd(which: str, u: CurveFn, v: VariationFn, h: float = 1e-5,
     """Central finite-difference first variation (I[u+hv] - I[u-hv]) / (2h)
     over u's domain.  With richardson=True the h and h/2 stencils are
     combined for fourth-order accuracy."""
+    if which not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional {which!r}; expected one of {tuple(_FUNCTIONALS)}")
     functional = _FUNCTIONALS[which]
     t0, t1 = u.domain
 

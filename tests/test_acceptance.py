@@ -378,7 +378,7 @@ def test_criterion_8d_ledger_first_variation_integrand():
 
     def integrand_no_factor(t):
         j = u.jet(t)
-        v0, v1, _, _ = v.derivs3(t)
+        v0, v1, _, _ = v.derivs(t)
         return schwarzian(j) * (v1 - (j.q / j.p) * v0)
 
     alt_integral = quad(integrand_no_factor, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)[0]

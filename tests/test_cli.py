@@ -294,6 +294,8 @@ NON_FINITE_NUMBERS = [
     pytest.param(["linearize", "--base", '{"A":1,"B":0,"C":0,"D":1,"sigma":"x"}', "--t", "0"],
                  id="base-json-non-numeric"),
     pytest.param(["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "0"], id="variation-n-0"),
+    pytest.param(["variation", "--u", "exp(1000*t)", "--interval", "0,1", "--n", "1"], id="variation-exp-overflow"),
+    pytest.param(["invariants", "--F", "exp(1000*p)", "--jet", "0,0,1,0,0"], id="invariants-exp-overflow"),
     *NON_FINITE_NUMBERS,
 ])
 def test_bad_input_exits_1_without_traceback(argv, capsys):
@@ -316,6 +318,12 @@ def test_non_finite_number_is_named(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 1
     assert "is not finite" in err
+
+
+def test_interval_of_three_values_is_named(capsys):
+    code, _, err = run(["variation", "--u", "t", "--interval", "0,1,2"], capsys)
+    assert code == 1
+    assert "--interval must be t0,t1" in err
 
 
 # ---------------------------------------------------------------------------

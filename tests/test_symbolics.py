@@ -410,8 +410,17 @@ def test_batch_series_equals_the_scalar_series_at_every_point(op):
     ("tan(t)", math.pi / 2),
     ("ln(t - 0.3)", 0.2),
     ("1/(t - 0.5)", 0.5),
-], ids=["tan-pole", "ln-non-positive", "zero-divisor"])
+    ("exp(1000*(t - 0.7))", 1.5),
+], ids=["tan-pole", "ln-non-positive", "zero-divisor", "exp-overflow"])
 def test_batch_domain_error_names_the_first_bad_point(text, bad):
     ts = np.array([0.9, 0.8, bad, 0.1])
     with pytest.raises(EvalDomainError, match=re.escape(f"t = {bad!r}")):
         taylor_eval(parse(text), {"t": TaylorScalar.variable(ts, 3)})
+
+
+def test_batch_series_compare_and_hash_by_identity():
+    # an elementwise == has no single truth value, so neither raises
+    ts = np.linspace(0.0, 1.0, 5)
+    a, b = TaylorScalar.variable(ts, 3), TaylorScalar.variable(ts.copy(), 3)
+    assert a == a and a != b
+    assert hash(a) == hash(a) != hash(b)

@@ -22,7 +22,6 @@ from schwarzlab.variation import (
     LinearCombination,
     MobiusCurve,
     PerturbedCurve,
-    SplineVariation,
     TrajectoryCurve,
     _quad,
     admissible_variation,
@@ -213,6 +212,11 @@ def test_unknown_form_rejected():
         delta_form("form99", AFFINE, ExprVariation("t"), 0.0, 1.0)
 
 
+def test_unknown_functional_is_named():
+    with pytest.raises(ValueError, match="'I_X'.*'I_L', 'I_S'"):
+        delta_fd("I_X", AFFINE, ExprVariation("t"))
+
+
 def test_classical_el_vanishing_on_trajectory():
     """A trajectory of the stationarity equation has vanishing first
     variation against variations pinned to first order at the ends."""
@@ -239,7 +243,7 @@ def test_solve_du_on_line_is_antiderivative():
 
     for t in (0.25, 0.5, 0.8):
         expected = quad(bump.value, 0.0, t, points=[0.3, 0.7], epsabs=1e-13)[0]
-        assert abs(v.derivs3(t)[0] - expected) <= 1e-11
+        assert abs(v.derivs(t)[0] - expected) <= 1e-11
     assert v.residual() <= 1e-9
 
 
@@ -247,7 +251,7 @@ def test_solve_du_zero_data():
     u = ExprCurve("exp(2*t)", (0.0, 1.0))
     v = solve_du(u, ExprVariation("0"), 0.0)
     for t in (0.0, 0.3, 0.9):
-        assert v.derivs3(t) == (0.0, 0.0, 0.0, 0.0)
+        assert v.derivs(t) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_solve_du_kernel_element():
@@ -255,7 +259,7 @@ def test_solve_du_kernel_element():
     v = solve_du(u, ExprVariation("0"), u.jet(0.0).p)
     for t in (0.1, 0.5, 0.9):
         jet = u.jet(t)
-        got = v.derivs3(t)
+        got = v.derivs(t)
         assert abs(got[0] - jet.p) <= 1e-12 * jet.p
         assert abs(got[1] - jet.q) <= 1e-12 * jet.q
 
@@ -413,24 +417,24 @@ def test_bump_derivatives_match_finite_differences():
     bump = BumpFn(0.5, 0.3, 1.2)
     h = 1e-6
     for t in (0.3, 0.45, 0.6, 0.74):
-        v0, v1, v2, v3 = bump.derivs3(t)
+        v0, v1, v2, v3 = bump.derivs(t)
         fd1 = (bump.value(t + h) - bump.value(t - h)) / (2 * h)
         fd2 = (bump.value(t + h) - 2 * bump.value(t) + bump.value(t - h)) / h ** 2
         assert abs(v1 - fd1) <= 1e-6 * max(1.0, abs(v1))
         assert abs(v2 - fd2) <= 1e-3 * max(1.0, abs(v2))
-    assert bump.derivs3(0.19999) == (0.0, 0.0, 0.0, 0.0)
+    assert bump.derivs(0.19999) == (0.0, 0.0, 0.0, 0.0)
     assert bump.value(2.0) == 0.0
     assert bump.support == (0.2, 0.8)
 
 
-def test_spline_variation():
-    ts = np.linspace(0.0, 1.0, 9)
-    vs = np.sin(2 * ts)
-    spline = SplineVariation(ts, vs)
-    v0, v1, _, _ = spline.derivs3(0.5)
-    assert abs(v0 - math.sin(1.0)) <= 1e-3
-    assert abs(v1 - 2 * math.cos(1.0)) <= 1e-2
-    assert len(spline.breakpoints) == 7
+def test_bump_value_is_the_first_derivs_entry():
+    # value reads the same formula as derivs, at order 0: == at every point
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        bump = BumpFn(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.5, 1.5)))
+        lo, hi = bump.support
+        for t in rng.uniform(lo, hi, 50).tolist():
+            assert bump.value(t) == bump.derivs(t)[0]
 
 
 def test_linear_combination():
@@ -438,8 +442,8 @@ def test_linear_combination():
     b = ExprVariation("sin(t)")
     combo = LinearCombination([(2.0, a), (-1.0, b)])
     t = 0.7
-    expected = tuple(2 * x - y for x, y in zip(a.derivs3(t), b.derivs3(t)))
-    assert combo.derivs3(t) == pytest.approx(expected, abs=0, rel=1e-15)
+    expected = tuple(2 * x - y for x, y in zip(a.derivs(t), b.derivs(t)))
+    assert combo.derivs(t) == pytest.approx(expected, abs=0, rel=1e-15)
 
 
 CURVES_OF_T = {
@@ -451,7 +455,7 @@ CURVES_OF_T = {
 
 @pytest.mark.parametrize("kind", sorted(CURVES_OF_T))
 def test_curve_is_a_variation_on_its_domain(kind):
-    # a curve's derivs3 is its jet, so u + s*v and any combination of
+    # a curve's derivs is its jet, so u + s*v and any combination of
     # curves and variations are read through LinearCombination, exactly
     u = CURVES_OF_T[kind]()
     v = ExprVariation("0.3*t^2 + sin(t)")
@@ -461,10 +465,10 @@ def test_curve_is_a_variation_on_its_domain(kind):
     mixed = LinearCombination([(1.0, u), (-0.5, bump)])
     for t in (0.2, 0.5, 0.9):
         jet = u.jet(t)
-        assert u.derivs3(t) == (jet.u, jet.p, jet.q, jet.r)
-        v0, v1, v2, v3 = v.derivs3(t)
+        assert u.derivs(t) == (jet.u, jet.p, jet.q, jet.r)
+        v0, v1, v2, v3 = v.derivs(t)
         assert perturbed.jet(t) == Jet4(t, jet.u + s * v0, jet.p + s * v1, jet.q + s * v2, jet.r + s * v3)
-        assert mixed.derivs3(t) == tuple(a - 0.5 * b for a, b in zip(u.derivs3(t), bump.derivs3(t)))
+        assert mixed.derivs(t) == tuple(a - 0.5 * b for a, b in zip(u.derivs(t), bump.derivs(t)))
         if kind == "expr":
             assert u.fourth(t) == ExprVariation("tan(t)").fourth(t)
 
@@ -474,7 +478,9 @@ def test_function_of_t_without_derivatives_raises():
         pass
 
     with pytest.raises(NotImplementedError):
-        Bare().derivs3(0.5)
+        Bare().derivs(0.5)
+    with pytest.raises(NotImplementedError):
+        Bare().derivs(np.array([0.5]))
     with pytest.raises(NotImplementedError):
         Bare().jet(0.5)
 
@@ -498,11 +504,11 @@ def test_trajectory_curve_fourth():
 FUNCTIONS_OF_T = {
     "expr-variation": lambda: ExprVariation("0.3*t^2 + sin(t) - exp(t/2) + ln(2 + t) + tan(t/3) + 1/(3 - t)"),
     "bump": lambda: BumpFn(0.5, 0.3, 0.8),
-    "spline": lambda: SplineVariation(np.linspace(0.0, 1.0, 9), np.sin(2.0 * np.linspace(0.0, 1.0, 9))),
     "linear-combination": lambda: LinearCombination([(2.0, ExprVariation("t^3")), (-1.0, BumpFn(0.4, 0.2))]),
     "curve-plus-bump": lambda: LinearCombination([(1.0, CURVES_OF_T["mobius"]()), (-0.5, BumpFn(0.5, 0.3, 0.8))]),
     "perturbed": lambda: PerturbedCurve(CURVES_OF_T["expr"](), ExprVariation("0.3*t^2 + sin(t)"), 0.01),
     "du-solution": lambda: solve_du(CURVES_OF_T["mobius"](), BumpFn(0.5, 0.3), 0.2),
+    "du-solution-on-trajectory": lambda: solve_du(CURVES_OF_T["trajectory"](), BumpFn(0.5, 0.3), 0.2),
     "admissible": lambda: admissible_variation(CURVES_OF_T["expr"](), BumpFn(0.5, 0.3), 0.05),
     **{f"curve-{kind}": make for kind, make in CURVES_OF_T.items()},
 }
@@ -515,7 +521,8 @@ def test_batch_derivs_equal_the_scalar_path(kind):
     ts = np.concatenate([np.linspace(0.0, 1.0, 41), np.random.default_rng(5).uniform(0.0, 1.0, 20)])
     got = fn.derivs(ts)
     assert got.shape == (4, len(ts))
-    assert np.array_equal(got, np.array([fn.derivs3(t) for t in ts.tolist()]).T)
+    assert np.array_equal(got, np.array([fn.derivs(t) for t in ts.tolist()]).T)
+    assert all(type(x) is float for t in ts.tolist() for x in fn.derivs(t))
     if isinstance(fn, CurveFn):
         jets = [fn.jet(t) for t in ts.tolist()]
         assert np.array_equal(got, np.array([(j.u, j.p, j.q, j.r) for j in jets]).T)
