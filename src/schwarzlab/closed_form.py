@@ -38,6 +38,8 @@ from .symbolics import first_where, pointwise
 
 # Half-width of the exclusion window around a pole when evaluating jets.
 POLE_EPS = 1e-9
+# The most solutions generator_solve lists in one window.
+MAX_SOLUTIONS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,13 @@ class MobiusFamily:
     @classmethod
     def from_json(cls, text: str) -> "MobiusFamily":
         """The family of a JSON object with numbers A, B, C, D and sigma;
-        ValueError names a missing or non-numeric key."""
+        ValueError quotes text that is not JSON and names a missing or
+        non-numeric key."""
         # integers parse as floats, so one past the float range reads inf
-        d = json.loads(text, parse_int=float)
+        try:
+            d = json.loads(text, parse_int=float)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"family JSON is not valid JSON ({e.msg}), got {text}") from None
         if not isinstance(d, dict):
             raise ValueError(f"family JSON must be an object with keys A, B, C, D, sigma, got {text}")
         for key in ("A", "B", "C", "D", "sigma"):
@@ -169,14 +175,16 @@ def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float, 
     read in G it would mix C and D, and tanh(ks) rounds to 1 beyond ks = 19.
     A jet's level 1/c is solved in G, where atanh keeps the digits of a small
     k.  With den = 0 these are the poles of G and g.  A window that is not
-    finite raises ValueError."""
+    finite, or one that holds more than MAX_SOLUTIONS, raises ValueError."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"need a finite window, got [{lo}, {hi}]")
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
         phase = math.pi / 2.0 if den == 0.0 else math.atan(num / den if public else w * num / den)
-        ks = range(math.ceil((w * lo - phase) / math.pi), math.floor((w * hi - phase) / math.pi) + 1)
-        out = [(phase + k * math.pi) / w for k in ks]
+        k0, k1 = math.ceil((w * lo - phase) / math.pi), math.floor((w * hi - phase) / math.pi)
+        if k1 - k0 + 1 > MAX_SOLUTIONS:
+            raise ValueError(f"the window [{lo}, {hi}] holds {k1 - k0 + 1} solutions, more than {MAX_SOLUTIONS}")
+        out = [(phase + k * math.pi) / w for k in range(k0, k1 + 1)]
     elif den == 0.0:
         out = []
     elif sigma == 0:

@@ -1,6 +1,8 @@
 """Adaptive integration of the fourth-order stationarity equation as a
-first-order system on jets, with dense output and continuous monitoring of
-the two first integrals.
+first-order system on jets, with scipy's DOP853 (the Dormand-Prince 8(5,3)
+pair) and continuous monitoring of the two first integrals.  The samples
+are the accepted steps; the dense output that interpolates between them is
+built only when a caller reads it (Trajectory.jet_at).
 
 Integration stops gracefully (status "stopped-near-singularity") for one of
 two reasons: a pole of u lies ahead, known in closed form from the exact
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from scipy.integrate import solve_ivp
 
@@ -36,14 +39,17 @@ CSV_HEADER = "t,u,p,q,r,S,C"
 @dataclass(frozen=True)
 class Trajectory:
     """A sampled numerical solution: every accepted step of the integrator,
-    ascending in t, with per-sample first-integral values."""
+    ascending in t, with per-sample first-integral values.  A run of zero
+    length has one sample.  solve_dense reruns the solve that made the
+    samples with dense output on; dense calls it on first read and keeps
+    the interpolant, whose steps are the samples."""
 
     samples: tuple
     s_values: tuple
     c_values: tuple
     tolerance: float
     status: str
-    dense: object = field(repr=False, compare=False, default=None)
+    solve_dense: object = field(repr=False, compare=False, default=None)
     t_start: float = 0.0
     t_final: float = 0.0
 
@@ -52,6 +58,11 @@ class Trajectory:
         """The jet at the integration endpoint (t_final), which is
         samples[0] for backward runs."""
         return self.samples[-1] if self.t_final >= self.t_start else self.samples[0]
+
+    @cached_property
+    def dense(self):
+        """The dense-output interpolant (a scipy OdeSolution)."""
+        return self.solve_dense()
 
     def jet_at(self, t: float) -> Jet4:
         """Dense-output jet at any t inside the integration span."""
@@ -75,7 +86,7 @@ _p_floor.terminal = True
 
 
 def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
-    """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with adaptive
+    """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with DOP853,
     local error control at tol.  Works in either time direction.  Stops
     POLE_MARGIN before the first pole of u on the way (or halfway to a pole
     nearer than twice that), or where |p| falls below SINGULARITY_FLOOR.
@@ -90,9 +101,14 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     # inside 10*tol relative to scale
     inner = tol / 40.0
     t_stop = t_end
-    # the poles of the solution through init, at s = t - init.t
+    # the poles of the solution through init, at s = t - init.t; with S > 0
+    # they repeat with period pi/w, so the nearest lies within one period, and
+    # a window of two keeps rounding at its end from dropping that pole
+    sigma, span = schwarzian(init), t_end - init.t
+    if sigma > 0:
+        span = math.copysign(min(abs(span), 2.0 * math.pi / math.sqrt(sigma / 2.0)), span)
     c = init.q / (2.0 * init.p)
-    poles = generator_solve(schwarzian(init), 1.0, c, *sorted((0.0, t_end - init.t)))
+    poles = generator_solve(sigma, 1.0, c, *sorted((0.0, span)))
     if poles:
         dist = min(abs(t) for t in poles)
         margin = min(POLE_MARGIN, 0.5 * dist)
@@ -101,20 +117,20 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         # the margin, and the phase error like tol over the distance run
         inner *= margin / dist
     inner = max(inner, 3e-14)  # the float64 rtol floor
-    sol = solve_ivp(
-        _rhs,
-        (init.t, t_stop),
-        (init.u, init.p, init.q, init.r),
-        method="RK45",
-        rtol=inner,
-        atol=inner,
-        events=_p_floor,
-        dense_output=True,
-    )
+
+    def solve(dense_output):
+        # dense output adds stages after each accepted step and leaves the
+        # step selection alone, so both calls take the same steps
+        return solve_ivp(_rhs, (init.t, t_stop), (init.u, init.p, init.q, init.r), method="DOP853",
+                         rtol=inner, atol=inner, events=_p_floor, dense_output=dense_output)
+
+    sol = solve(False)
     if sol.status < 0:
         raise IntegrationError(f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
     status = STATUS_STOPPED if sol.status == 1 or t_stop != t_end else STATUS_COMPLETED
     ts, ys = sol.t, sol.y
+    if t_stop == init.t:  # the solver reports the start twice
+        ts, ys = ts[:1], ys[:, :1]
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[:, ::-1]
     samples = tuple(Jet4(float(t), *map(float, ys[:, i])) for i, t in enumerate(ts))
@@ -126,7 +142,7 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         c_values=c_values,
         tolerance=tol,
         status=status,
-        dense=sol.sol,
+        solve_dense=lambda: solve(True).sol,
         t_start=init.t,
         t_final=float(sol.t[-1]),
     )

@@ -4,16 +4,38 @@ config-file handling."""
 import json
 import math
 import signal
+from contextlib import contextmanager
 
 import pytest
 
 from schwarzlab.cli import main
+from schwarzlab.el_ode import POLE_MARGIN
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TooSlow(BaseException):
+    """Raised by the alarm; not an Exception, so main() cannot catch it."""
+
+
+def _too_slow(signum, frame):
+    raise TooSlow("no answer within 5 s")
+
+
+@contextmanager
+def within_5_s():
+    """Cut a run that never returns, or allocates without bound, after 5 s."""
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +95,22 @@ def test_integrate_pole_stop_exits_2(capsys):
     assert err == ""
     last = out.splitlines()[-1].split(",")
     assert math.pi / 2.0 - 0.1 <= float(last[0]) < math.pi / 2.0
+
+
+def test_integrate_far_t_end_stops_before_the_first_pole(capsys):
+    # only the nearest pole matters; the window up to t_end holds 3.2e8
+    with within_5_s():
+        code, out, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1e9"], capsys)
+    assert code == 2
+    assert err == ""
+    last = out.splitlines()[-1].split(",")
+    assert abs(float(last[0]) - (math.pi / 2.0 - POLE_MARGIN)) <= 1e-15
+
+
+def test_integrate_zero_length_prints_one_row(capsys):
+    code, out, _ = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "0"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["t,u,p,q,r,S,C", "0,0,1,0,2,2,2"]
 
 
 def test_integrate_bad_jet_exits_1(capsys):
@@ -257,14 +295,6 @@ def test_variation_requires_curve(capsys):
 # input that must be refused without a traceback
 # ---------------------------------------------------------------------------
 
-class TooSlow(BaseException):
-    """Raised by the alarm; not an Exception, so main() cannot catch it."""
-
-
-def _too_slow(signum, frame):
-    raise TooSlow("no answer within 5 s")
-
-
 # a non-finite number where the CLI reads it; the message must say so
 NON_FINITE_NUMBERS = [
     pytest.param(["family", "--sigma", "2", "--jet-at", "nan"], id="family-jet-at-nan"),
@@ -273,6 +303,12 @@ NON_FINITE_NUMBERS = [
     pytest.param(["linearize", "--base", "tan", "--t", "inf"], id="linearize-t-inf"),
     pytest.param(["invariants", "--jet", "nan,0,1,0,0"], id="invariants-jet-nan"),
     pytest.param(["invariants", "--jet", "0,0,inf,0,0"], id="invariants-jet-inf"),
+]
+
+# family JSON that does not parse; the message must quote it
+INVALID_JSON = [
+    pytest.param(["variation", "--mobius", "1,0,0,1,0", "--interval", "0,1"], id="mobius-json-invalid"),
+    pytest.param(["linearize", "--base", "1,0", "--t", "0"], id="base-json-invalid"),
 ]
 
 
@@ -296,18 +332,17 @@ NON_FINITE_NUMBERS = [
     pytest.param(["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "0"], id="variation-n-0"),
     pytest.param(["variation", "--u", "exp(1000*t)", "--interval", "0,1", "--n", "1"], id="variation-exp-overflow"),
     pytest.param(["invariants", "--F", "exp(1000*p)", "--jet", "0,0,1,0,0"], id="invariants-exp-overflow"),
+    # 3.2e8 poles of tan(t) in the window
+    pytest.param(["family", "--sigma", "2", "--A", "1", "--B", "0", "--C", "0", "--D", "1", "--t0", "0", "--t1", "1e9"],
+                 id="family-window-of-too-many-poles"),
     *NON_FINITE_NUMBERS,
+    *INVALID_JSON,
 ])
 def test_bad_input_exits_1_without_traceback(argv, capsys):
     # an exception that main() does not turn into "error:" would reach here
     # as a traceback; a run that never returns is cut by the alarm
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    signal.alarm(5)
-    try:
+    with within_5_s():
         code, out, err = run(argv, capsys)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -318,6 +353,14 @@ def test_non_finite_number_is_named(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 1
     assert "is not finite" in err
+
+
+@pytest.mark.parametrize("argv", INVALID_JSON)
+def test_invalid_family_json_is_quoted(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: family JSON is not valid JSON")
+    assert f"got {argv[2]}" in err
 
 
 def test_interval_of_three_values_is_named(capsys):

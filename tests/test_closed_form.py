@@ -16,6 +16,7 @@ from conftest import (
     random_jet,
 )
 from schwarzlab.closed_form import (
+    MAX_SOLUTIONS,
     POLE_EPS,
     MobiusFamily,
     family_eval_jet,
@@ -24,6 +25,7 @@ from schwarzlab.closed_form import (
     family_poles,
     family_singularities,
     family_verify,
+    generator_solve,
 )
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import SingularTimeError
@@ -303,3 +305,10 @@ def test_family_of_jet_outside_the_float_range(t0):
     # sigma = -200, k = 10: e^{+-k t0} = e^{+-1000} overflows
     with pytest.raises(ValueError, match="outside the float range"):
         family_of_jet(Jet4(t0, 0.0, 1.0, 0.0, -200.0))
+
+
+def test_window_of_too_many_solutions_is_refused():
+    # the poles of tan(s) are pi/2 + k pi: [0, n pi] holds n of them
+    assert len(generator_solve(2.0, 1.0, 0.0, 0.0, MAX_SOLUTIONS * math.pi)) == MAX_SOLUTIONS
+    with pytest.raises(ValueError, match=f"holds {MAX_SOLUTIONS + 1} solutions"):
+        generator_solve(2.0, 1.0, 0.0, 0.0, (MAX_SOLUTIONS + 1) * math.pi)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
+from schwarzlab import el_ode
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_of_jet
 from schwarzlab.el_ode import (
     POLE_MARGIN,
@@ -39,6 +40,47 @@ def test_tan_jet_reaches_tan_of_one():
     for name in ("u", "p", "q", "r"):
         err = abs(getattr(traj.final, name) - getattr(oracle, name))
         assert err <= 1e-9 * max(1.0, abs(getattr(oracle, name)))
+
+
+def test_tan_jet_in_few_steps():
+    # the 8th-order pair reaches tan(1) at tol 1e-12 in 48 accepted steps,
+    # where the 5th-order one took 564
+    tol = 1e-12
+    traj = integrate(Jet4(0, 0, 1, 0, 2), 1.0, tol)
+    assert abs(traj.final.u - math.tan(1.0)) <= 10 * tol * math.tan(1.0)
+    assert len(traj.samples) - 1 < 100
+
+
+def test_zero_length_run_has_one_sample():
+    start = Jet4(0.5, 0, 1, 0, 2)
+    traj = integrate(start, 0.5, 1e-10)
+    assert traj.samples == (start,)
+    assert traj.final == start
+    assert traj.jet_at(0.5) == start
+
+
+def test_dense_output_is_built_on_first_read(monkeypatch):
+    calls = []
+    solve_ivp = el_ode.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(kwargs["dense_output"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(el_ode, "solve_ivp", counting_solve_ivp)
+    # forward, backward, and stopped by the |p| floor event
+    runs = ((Jet4(0, 0, 1, 0, 2), 1.0), (Jet4(1.0, 1.0, 1.0, 0.5, 0.0), 0.0),
+            (family_eval_jet(MobiusFamily(1, 0, 1, 1, -0.5), 0.0), 30.0))
+    for start, t_end in runs:
+        calls.clear()
+        traj = integrate(start, t_end, 1e-10)
+        assert calls == [False]
+        traj.jet_at(traj.samples[1].t)
+        assert calls == [False, True]
+        traj.jet_at(traj.samples[-2].t)
+        assert calls == [False, True]
+        # the dense run takes the steps of the first one
+        assert sorted(traj.dense.ts.tolist()) == [j.t for j in traj.samples]
 
 
 def test_exp2_jet_endpoint():
