@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
 from .closed_form import generator_solve
 from .errors import IntegrationError, SingularJetError
 from .schwarzian import Jet4, mercator_c, schwarzian
+from .symbolics import first_where
 
 SINGULARITY_FLOOR = 1e-8
 # distance in t at which a run stops before a pole of u
@@ -64,13 +66,16 @@ class Trajectory:
         """The dense-output interpolant (a scipy OdeSolution)."""
         return self.solve_dense()
 
-    def jet_at(self, t: float) -> Jet4:
-        """Dense-output jet at any t inside the integration span."""
+    def jet_at(self, t) -> Jet4:
+        """Dense-output jet at any t inside the integration span: a jet of
+        floats at a float t, and at a 1-D array t a jet of arrays over it,
+        read in one call, whose entry k equals jet_at(t[k])."""
         lo, hi = min(self.t_start, self.t_final), max(self.t_start, self.t_final)
-        if not (lo <= t <= hi):
-            raise ValueError(f"t = {t} outside integration span [{lo}, {hi}]")
-        u, p, q, r = self.dense(t)
-        return Jet4(t, float(u), float(p), float(q), float(r))
+        outside = first_where(np.logical_not((lo <= t) & (t <= hi)), t)
+        if outside is not None:
+            raise ValueError(f"t = {outside} outside integration span [{lo}, {hi}]")
+        y = self.dense(t)
+        return Jet4(t, *(y if isinstance(t, np.ndarray) else map(float, y)))
 
 
 def _rhs(t, y):
@@ -90,9 +95,12 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     local error control at tol.  Works in either time direction.  Stops
     POLE_MARGIN before the first pole of u on the way (or halfway to a pole
     nearer than twice that), or where |p| falls below SINGULARITY_FLOOR.
-    A jet or t_end that is not finite raises ValueError."""
+    A jet or t_end that is not finite, or a span t_end - init.t that
+    overflows, raises ValueError."""
     if not all(math.isfinite(x) for x in (*init.as_tuple(), t_end)):
         raise ValueError(f"need a finite jet and t_end, got {init.as_tuple()} and {t_end}")
+    if not math.isfinite(t_end - init.t):
+        raise ValueError(f"the run's span t_end - t = {t_end} - {init.t} is not finite")
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if abs(init.p) < SINGULARITY_FLOOR:

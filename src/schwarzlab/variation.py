@@ -30,8 +30,8 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
 from .closed_form import MobiusFamily, family_derivs, family_fourth, family_poles
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
-from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, el_rhs, lagrangian_at, schwarzian_at
-from .symbolics import Expr, TaylorScalar, parse, taylor_eval, variables_of
+from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, d_u, el_rhs, guarded, lagrangian, schwarzian
+from .symbolics import Expr, TaylorScalar, parse, pointwise, taylor_eval, variables_of
 
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
@@ -100,14 +100,6 @@ def _quad(fn, a, b, breakpoints=()):
     if b < a:
         return -_quad(fn, b, a, breakpoints)
     return float(sum(antideriv.sum() for *_, antideriv in _panels(fn, a, b, breakpoints, QUAD_EPS)))
-
-
-def _at_nodes(formula, *rows) -> np.ndarray:
-    """formula(*values) at each node of a panel, from 1-D arrays that hold one
-    quantity each at the nodes.  Formulas run node by node on Python floats:
-    a vectorised x**2 or x**3 differs from float pow in the last bit on some
-    inputs, and each node's value must equal the scalar path's."""
-    return np.array([formula(*x) for x in zip(*(row.tolist() for row in rows))])
 
 
 def _rows(values, t):
@@ -193,14 +185,14 @@ class BumpFn(VariationFn):
     def _x(self, t):
         return (t - self.center) * (1.0 / self.radius)
 
-    def value(self, t: float) -> float:
-        """derivs(t)[0] at a float t: the same formula read at order 0, at a
-        fraction of the cost of the series."""
+    def value(self, t):
+        """derivs(t)[0] at a float or an array t: the same formula read at
+        order 0, at a fraction of the cost of the series.  It is 0 outside
+        the support, where 1 stands in for 1 - x^2 <= 1e-12 as the divisor."""
         x = self._x(t)
         s = 1.0 - x * x
-        if s <= 1e-12:
-            return 0.0
-        return self.amplitude * math.exp(-1.0 / s)
+        inside = s > 1e-12
+        return self.amplitude * pointwise(math.exp, -1.0 / np.where(inside, s, 1.0)) * inside
 
     def derivs(self, t):
         x0 = self._x(t)
@@ -323,15 +315,9 @@ class TrajectoryCurve(CurveFn):
         self._check_regular()
 
     def derivs(self, t):
-        # the dense output is read node by node, as at a float
-        if isinstance(t, np.ndarray):
-            return _at_nodes(self.derivs, t).reshape(-1, 4).T
-        j = self.traj.jet_at(t)
-        return (j.u, j.p, j.q, j.r)
+        return _rows(self.traj.jet_at(t).as_tuple()[1:], t)
 
     def fourth(self, t):
-        if isinstance(t, np.ndarray):
-            return _at_nodes(self.fourth, t)
         return el_rhs(self.jet(t))
 
     def describe(self) -> str:
@@ -375,16 +361,15 @@ class DuSolution(VariationFn):
         self.k0 = float(v0) / u.jet(self.t0).p
         self.breakpoints = tuple(phi.breakpoints)
 
-        def integrands(t, phi_t, p, q, r):
-            return phi_t / p, schwarzian_at(t, p, q, r) * phi_t / p
-
         def sample(ts):
             # u is evaluated, in one batch, only where phi does not vanish
-            phi_ts = np.array([phi.value(t) for t in ts.tolist()])
+            phi_ts = phi.value(ts)
             live = phi_ts != 0.0
             fg = np.zeros((len(ts), 2))
             if live.any():
-                fg[live] = _at_nodes(integrands, ts[live], phi_ts[live], *u.derivs(ts[live])[1:])
+                j, f = u.jet(ts[live]), phi_ts[live]
+                s = schwarzian(j)  # its guard runs before anything divides by u'
+                fg[live, 0], fg[live, 1] = f / j.p, s * f / j.p
             return fg
 
         self._pieces = []
@@ -428,6 +413,9 @@ class DuSolution(VariationFn):
         fourth-order central difference of v = u' (k0 + W), so the check is
         independent of the derivative formulas in derivs."""
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
+        if b < a:
+            raise ValueError(f"domain [{self.t0:g}, {self.t1:g}] is narrower than the D_u check's stencil, "
+                             f"4h = {4 * h:g}")
         ts = a + (b - a) * np.arange(n) / (n - 1)
         # the four stencil points of every t, then t itself, in one batch
         nodes = np.concatenate([ts + k * h for k in (-2, -1, 1, 2)] + [ts])
@@ -436,8 +424,7 @@ class DuSolution(VariationFn):
         vals = p[:4] * w[:4]
         v1_fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
         du = v1_fd - q[4] * w[4]
-        phi = np.array([self.phi.value(t) for t in ts.tolist()])
-        return max([0.0] + np.abs(du - phi).tolist())
+        return max([0.0] + np.abs(du - self.phi.value(ts)).tolist())
 
     def describe(self) -> str:
         return f"du_solution({self.phi.describe()})"
@@ -486,13 +473,12 @@ class AdmissibleVariation(VariationFn):
         """sum(delta_form("schwarzian", u, self, t0, t1)) as a linear functional:
         D_u(v + vhat) = phi + D_u(vhat), so it is base.schwarzian_integral
         + int_t0^{t0+eps} S(u) D_u(vhat)/u' dt + B |_t0^t1."""
-        def glue(t, p, q, r):
-            g = self._glue(t)
-            return schwarzian_at(t, p, q, r) * (g[1] - (q / p) * g[0]) / p
+        def glue(ts):
+            j = self.u.jet(ts)
+            return schwarzian(j) * d_u(j, VarJet(*self._glue(ts)[:3])) / j.p
 
         return (self.base.schwarzian_integral
-                + _quad(lambda ts: _at_nodes(glue, ts, *self.u.derivs(ts)[1:]),
-                        self.t0, self.join, self.u.breakpoints)
+                + _quad(glue, self.t0, self.join, self.u.breakpoints)
                 + _boundary("schwarzian", self.u, self, self.t0, self.t1))
 
     def endpoint_residual(self) -> float:
@@ -536,13 +522,13 @@ def admissible_variation(u: CurveFn, phi: VariationFn, eps: float) -> Admissible
 
 def functional_IL(u: CurveFn, t0: float, t1: float) -> float:
     """Quadrature of (u''/u')^2 over [t0, t1]."""
-    return _quad(lambda ts: _at_nodes(lagrangian_at, ts, *u.derivs(ts)[1:3]), t0, t1, u.breakpoints)
+    return _quad(lambda ts: lagrangian(u.jet(ts)), t0, t1, u.breakpoints)
 
 
 def functional_IS(u: CurveFn, t0: float, t1: float) -> float:
     """Quadrature of S(u) over [t0, t1].  Equals the boundary difference of
     u''/u' minus half of functional_IL (checked in the test suite)."""
-    return _quad(lambda ts: _at_nodes(schwarzian_at, ts, *u.derivs(ts)[1:]), t0, t1, u.breakpoints)
+    return _quad(lambda ts: schwarzian(u.jet(ts)), t0, t1, u.breakpoints)
 
 
 _FUNCTIONALS = {"I_L": functional_IL, "I_S": functional_IS}
@@ -569,21 +555,14 @@ def delta_fd(which: str, u: CurveFn, v: VariationFn, h: float = 1e-5,
     return (4.0 * d2 - d1) / 3.0
 
 
-# each form's integrand at one node, from t, u', u'', u''' and v, v', v''
+# each form's integrand from the jets j of u and w of v, at a float or a panel of
+# nodes, and (p, q, r) of j, read through the guard before anything divides
 _FORM_INTEGRANDS = {
-    "direct": lambda t, p, q, r, v0, v1, v2: 2.0 * q * v2 / p ** 2 - 2.0 * q ** 2 * v1 / p ** 3,
-    "by_parts": lambda t, p, q, r, v0, v1, v2: (-2.0 * r / p ** 2 + 2.0 * q ** 2 / p ** 3) * v1,
-    "du_factored": lambda t, p, q, r, v0, v1, v2:
-        (-2.0 * r / p + 3.0 * q ** 2 / p ** 2) * (v1 - (q / p) * v0) / p,
-    "schwarzian": lambda t, p, q, r, v0, v1, v2: schwarzian_at(t, p, q, r) * (v1 - (q / p) * v0) / p,
+    "direct": lambda j, w, p, q, r: 2.0 * q * w.v2 / (p * p) - 2.0 * (q * q) * w.v1 / (p * p * p),
+    "by_parts": lambda j, w, p, q, r: (-2.0 * r / (p * p) + 2.0 * (q * q) / (p * p * p)) * w.v1,
+    "du_factored": lambda j, w, p, q, r: (-2.0 * r / p + 3.0 * (q * q) / (p * p)) * d_u(j, w) / p,
+    "schwarzian": lambda j, w, p, q, r: schwarzian(j) * d_u(j, w) / p,
 }
-
-
-def _integrand(which_form: str, u: CurveFn, v: VariationFn):
-    if which_form not in FORMS:
-        raise ValueError(f"unknown form {which_form!r}; expected one of {FORMS}")
-    form = _FORM_INTEGRANDS[which_form]
-    return lambda ts: _at_nodes(form, ts, *u.derivs(ts)[1:], *v.derivs(ts)[:3])
 
 
 def _boundary(which_form: str, u: CurveFn, v: VariationFn, t0: float, t1: float) -> float:
@@ -612,8 +591,15 @@ def delta_form(which_form: str, u: CurveFn, v: VariationFn, t0: float, t1: float
     (it is what the integration by parts actually produces); see the test
     suite's discrepancy ledger.
     """
-    integral = _quad(_integrand(which_form, u, v), t0, t1,
-                     tuple(u.breakpoints) + tuple(v.breakpoints))
+    if which_form not in FORMS:
+        raise ValueError(f"unknown form {which_form!r}; expected one of {FORMS}")
+    form = _FORM_INTEGRANDS[which_form]
+
+    def integrand(ts):
+        j = u.jet(ts)
+        return form(j, v.var_jet(ts), *guarded(j))
+
+    integral = _quad(integrand, t0, t1, tuple(u.breakpoints) + tuple(v.breakpoints))
     return (integral, _boundary(which_form, u, v, t0, t1))
 
 

@@ -335,6 +335,9 @@ INVALID_JSON = [
     # 3.2e8 poles of tan(t) in the window
     pytest.param(["family", "--sigma", "2", "--A", "1", "--B", "0", "--C", "0", "--D", "1", "--t0", "0", "--t1", "1e9"],
                  id="family-window-of-too-many-poles"),
+    pytest.param(["integrate", "--jet=-1e308,0,1,0,-2", "--t-end=1e308"], id="integrate-span-overflows"),
+    pytest.param(["variation", "--u", "t", "--interval", "0,0.0003", "--n", "2"],
+                 id="variation-domain-narrower-than-the-residual-stencil"),
     *NON_FINITE_NUMBERS,
     *INVALID_JSON,
 ])
@@ -361,6 +364,21 @@ def test_invalid_family_json_is_quoted(argv, capsys):
     assert code == 1
     assert err.startswith("error: family JSON is not valid JSON")
     assert f"got {argv[2]}" in err
+
+
+def test_integrate_span_that_overflows_is_named(capsys):
+    # t_end and the jet are finite, but t_end - t is not
+    code, _, err = run(["integrate", "--jet=-1e308,0,1,0,-2", "--t-end=1e308"], capsys)
+    assert code == 1
+    assert err.startswith("error: the run's span t_end - t = 1e+308 - -1e+308 is not finite")
+
+
+def test_domain_narrower_than_the_residual_stencil_is_named(capsys):
+    # the D_u check differences v at t +- 2h, h = 1e-4, inside the domain
+    code, out, err = run(["variation", "--u", "t", "--interval", "0,0.0003", "--n", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "domain [0, 0.0003] is narrower than the D_u check's stencil, 4h = 0.0004" in err
 
 
 def test_interval_of_three_values_is_named(capsys):

@@ -98,6 +98,48 @@ def test_singular_jet_rejected():
         d_u(Jet4(0, 0, 1e-13, 1, 1), VarJet(1, 1, 1))
 
 
+JET_OPS = {
+    "schwarzian": lambda j, w: schwarzian(j),
+    "mercator_c": lambda j, w: mercator_c(j),
+    "lagrangian": lambda j, w: lagrangian(j),
+    "el_rhs": lambda j, w: el_rhs(j),
+    "d_u": d_u,
+    "d_u2": d_u2,
+    "boundary_B": boundary_B,
+    "boundary_terms": boundary_terms,
+}
+
+
+def random_jet_arrays(rng, n):
+    """A Jet4 and a VarJet of n random nodes, with |p| log-uniform over
+    1e-6..1e6 and the other fields over several decades of both signs."""
+    def spread(lo, hi):
+        return rng.choice([-1.0, 1.0], size=n) * np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+
+    j = Jet4(rng.uniform(-1, 1, size=n), spread(1e-3, 1e3), spread(1e-6, 1e6), spread(1e-3, 1e3), spread(1e-3, 1e3))
+    return j, VarJet(spread(1e-3, 1e3), spread(1e-3, 1e3), spread(1e-3, 1e3))
+
+
+@pytest.mark.parametrize("name", JET_OPS)
+def test_jet_of_arrays_equals_the_float_jets(name):
+    # the same + - * / on every node, so not a last bit may differ; 20000
+    # nodes, as float pow(x, 2) differs from x*x on about 1 input in 1300
+    op = JET_OPS[name]
+    j, w = random_jet_arrays(np.random.default_rng(40), 20000)
+    nodes = zip(zip(*(x.tolist() for x in j.as_tuple())), zip(w.v.tolist(), w.v1.tolist(), w.v2.tolist()))
+    floats = np.array([op(Jet4(*jk), VarJet(*wk)) for jk, wk in nodes])
+    assert np.array_equal(np.asarray(op(j, w)), floats.T)
+
+
+@pytest.mark.parametrize("name", JET_OPS)
+def test_jet_of_arrays_names_its_first_singular_node(name):
+    j, w = random_jet_arrays(np.random.default_rng(41), 50)
+    p = j.p.copy()
+    p[[17, 30]] = (0.0, 1e-13)
+    with pytest.raises(SingularJetError, match=rf"\|u'\| = 0\.000e\+00 below singularity floor at t = {j.t[17]}$"):
+        JET_OPS[name](Jet4(j.t, j.u, p, j.q, j.r), w)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -212,6 +212,24 @@ def test_unknown_form_rejected():
         delta_form("form99", AFFINE, ExprVariation("t"), 0.0, 1.0)
 
 
+class FlatTail(CurveFn):
+    """u = t on [0, 1] with u' = 1e-13, below the singularity floor, past
+    t = 0.5, built without the regularity check: only the guard of an
+    integrand can catch it."""
+
+    domain = (0.0, 1.0)
+
+    def derivs(self, t):
+        return np.array([t, np.where(t > 0.5, 1e-13, 1.0), np.ones_like(t), np.ones_like(t)])
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_form_integrand_guards_before_it_divides(form):
+    # a SingularJetError, not a huge value, a ZeroDivisionError or a numpy warning
+    with pytest.raises(SingularJetError, match="below singularity floor at t = 0.5"):
+        delta_form(form, FlatTail(), ExprVariation("t^2"), 0.0, 1.0)
+
+
 def test_unknown_functional_is_named():
     with pytest.raises(ValueError, match="'I_X'.*'I_L', 'I_S'"):
         delta_fd("I_X", AFFINE, ExprVariation("t"))
@@ -523,6 +541,7 @@ def test_batch_derivs_equal_the_scalar_path(kind):
     assert got.shape == (4, len(ts))
     assert np.array_equal(got, np.array([fn.derivs(t) for t in ts.tolist()]).T)
     assert all(type(x) is float for t in ts.tolist() for x in fn.derivs(t))
+    assert np.array_equal(fn.value(ts), np.array([fn.value(t) for t in ts.tolist()]))
     if isinstance(fn, CurveFn):
         jets = [fn.jet(t) for t in ts.tolist()]
         assert np.array_equal(got, np.array([(j.u, j.p, j.q, j.r) for j in jets]).T)
