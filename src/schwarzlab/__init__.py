@@ -65,7 +65,6 @@ from .variation import (
     ExprVariation,
     LinearCombination,
     MobiusCurve,
-    PerturbedCurve,
     TrajectoryCurve,
     VariationFn,
     admissible_variation,

@@ -13,11 +13,13 @@ the same coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .closed_form import MobiusFamily, family_eval_jet
 from .el_ode import Trajectory
+from .errors import EvalDomainError
 from .schwarzian import EL_FIELD_TEXT, Jet4, schwarzian
 from .symbolics import Expr, differentiate, eval_scalar, formal_solution, parse, taylor_eval, variables_of
 from .variation import ExprVariation
@@ -56,32 +58,38 @@ def el_field() -> OdeField:
 def _wuenschmann(field: OdeField, j: Jet4) -> tuple:
     """(W0, W1) at j, the formulas of w0 and w1, from one flow series through
     j: the k-th total derivative of G is k! times coefficient k of G
-    evaluated on it."""
+    evaluated on it.  Raises EvalDomainError, naming j, when either
+    overflows or is not finite."""
     env = formal_solution(field.F, j, TAYLOR_ORDER)
     series_r, series_q = taylor_eval(field.Fr, env), taylor_eval(field.Fq, env)
     fr, dfr, d2fr, d3fr = (series_r.derivative(k) for k in range(4))
     fq, dfq, d2fq = (series_q.derivative(k) for k in range(3))
     fp = taylor_eval(field.Fp, env).derivative(0)
-    W0 = (
-        (11.0 / 1600.0) * fr ** 4
-        - 0.18 * fr ** 2 * dfr
-        - 0.005 * fr ** 2 * fq
-        + 0.21 * dfr ** 2
-        + 0.02 * dfr * fq
-        - 0.09 * fq ** 2
-        + 0.35 * fr * d2fr
-        - 0.2 * d3fr
-        + 0.3 * d2fq
-        - 0.25 * fr * dfq
-    )
-    W1 = (
-        2.25 * fr * dfr
-        - 1.5 * d2fr
-        + 3.0 * dfq
-        - 0.375 * fr ** 3
-        - 1.5 * fq * fr
-        - 3.0 * fp
-    )
+    try:
+        W0 = (
+            (11.0 / 1600.0) * fr ** 4
+            - 0.18 * fr ** 2 * dfr
+            - 0.005 * fr ** 2 * fq
+            + 0.21 * dfr ** 2
+            + 0.02 * dfr * fq
+            - 0.09 * fq ** 2
+            + 0.35 * fr * d2fr
+            - 0.2 * d3fr
+            + 0.3 * d2fq
+            - 0.25 * fr * dfq
+        )
+        W1 = (
+            2.25 * fr * dfr
+            - 1.5 * d2fr
+            + 3.0 * dfq
+            - 0.375 * fr ** 3
+            - 1.5 * fq * fr
+            - 3.0 * fp
+        )
+    except OverflowError:
+        W0 = W1 = math.nan
+    if not (math.isfinite(W0) and math.isfinite(W1)):
+        raise EvalDomainError(f"W0 or W1 overflows or is not finite at the jet {list(j.as_tuple())}")
     return W0, W1
 
 

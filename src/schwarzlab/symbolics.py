@@ -115,13 +115,6 @@ class TaylorScalar:
         c = self.coeffs
         return TaylorScalar(self.base_point, tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)))
 
-    def __call__(self, t: float) -> float:
-        dt = t - self.base_point
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * dt + c
-        return acc
-
     def _refuse(self, mask, message: str) -> None:
         """Raise EvalDomainError with message at the first point where mask holds."""
         t = first_where(mask, self.base_point)

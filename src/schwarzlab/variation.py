@@ -5,10 +5,10 @@ functional I_S = int S(u) dt.
 Provides one hierarchy of functions of t with exact derivatives: a
 variation (VariationFn) gives v and its first three derivatives, and a curve
 (CurveFn) is a variation on a domain, where u' != 0, whose derivatives are
-read as a jet.  So u + s*v is a LinearCombination, as any sum of curves and
-variations is.  On top of it: the first variation in all its equivalent
-integral forms (with their boundary terms kept separate), a finite-difference
-cross-check, the integrating-factor solver for D_u(v) = phi, the
+read as a jet.  So any sum of curves and variations is a LinearCombination.
+On top of it: the first variation in all its equivalent integral forms (with
+their boundary terms kept separate), a finite-difference cross-check on the
+jets of u + s*v, the integrating-factor solver for D_u(v) = phi, the
 admissible-variation construction that meets the second-order endpoint
 condition, and the resulting critical-point test.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,6 +37,14 @@ from .symbolics import Expr, TaylorScalar, parse, pointwise, taylor_eval, variab
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
 CURVE_U_ROUNDING = 1e-12
+# points of the regularity check, both ends of the domain among them
+CURVE_GRID = 101
+
+# DuSolution.residual: DU_CHECK_N points, v' by a central difference of step DU_CHECK_H
+DU_CHECK_N = 64
+DU_CHECK_H = 1e-4
+# AdmissibleVariation.glue_bound: points on the glue
+GLUE_CHECK_N = 33
 
 FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 
@@ -112,6 +121,31 @@ def _rows(values, t):
     for row, x in zip(out, values):
         row[...] = x
     return out
+
+
+def _regularity_grid(t0: float, t1: float):
+    """The CURVE_GRID equally spaced points of [t0, t1] that the regularity check reads."""
+    return t0 + (t1 - t0) * np.arange(CURVE_GRID) / (CURVE_GRID - 1)
+
+
+def _refuse_irregular(name: str, ts, us, ps) -> None:
+    """Raise SingularJetError unless the curve called name, with values us and
+    slopes ps at the increasing points ts, keeps |u'| >= CURVE_P_FLOOR, keeps
+    the sign of u', and never moves u against that sign between two points:
+    by the mean value theorem a continuous u cannot, so a pole lies between
+    them."""
+    last_sign, last_u = 0.0, 0.0
+    for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
+        if abs(p) < CURVE_P_FLOOR:
+            raise SingularJetError(f"curve {name} has |u'| = {abs(p):.2e} at t = {t}")
+        sign = math.copysign(1.0, p)
+        if last_sign and sign != last_sign:
+            raise SingularJetError(f"curve {name} has u' changing sign near t = {t}")
+        if last_sign and sign * (u - last_u) < -CURVE_U_ROUNDING * max(abs(u), abs(last_u)):
+            raise SingularJetError(
+                f"curve {name} has u moving against the sign of u' near t = {t}: a pole lies in its domain"
+            )
+        last_sign, last_u = sign, u
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +270,30 @@ class CurveFn(VariationFn):
     u'', u''') is its jet, on a finite domain t0 < t1 where u' != 0.
 
     jet(t) reads derivs(t), which a subclass provides as every function of
-    t does.  Construction rejects a domain that is not finite with t0 < t1,
-    evaluates the curve on a grid in one derivs call (so an evaluation error
-    anywhere on the grid is raised as it is) and rejects curves that come
-    too close to u' = 0, or whose u moves against the sign of u' between two
-    samples: by the mean value theorem a continuous u cannot, so a pole lies
-    between them."""
+    t does.  A subclass sets its domain through _set_domain, which refuses
+    one that is not finite with t0 < t1, or on which the regularity grid
+    would overflow, before anything is evaluated; _check_regular then reads
+    the curve on that grid in one derivs call (so an evaluation error
+    anywhere on it is raised as it is) and applies _refuse_irregular."""
 
     domain: tuple
 
     def jet(self, t: float) -> Jet4:
         return Jet4(t, *self.derivs(t))
 
-    def _check_regular(self, n: int = 101):
-        t0, t1 = self.domain
+    def _set_domain(self, domain: tuple) -> None:
+        t0, t1 = float(domain[0]), float(domain[1])
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError(f"curve {self.describe()} needs a finite domain t0 < t1, got [{t0}, {t1}]")
-        ts = t0 + (t1 - t0) * np.arange(n) / (n - 1)
+        if not math.isfinite((t1 - t0) * (CURVE_GRID - 1)):
+            raise ValueError(f"curve {self.describe()} needs a domain whose length times {CURVE_GRID - 1} "
+                             f"is finite, got [{t0}, {t1}]")
+        self.domain = (t0, t1)
+
+    def _check_regular(self) -> None:
+        ts = _regularity_grid(*self.domain)
         us, ps = self.derivs(ts)[:2]
-        last_sign, last_u = 0.0, 0.0
-        for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
-            if abs(p) < CURVE_P_FLOOR:
-                raise SingularJetError(f"curve {self.describe()} has |u'| = {abs(p):.2e} at t = {t}")
-            sign = math.copysign(1.0, p)
-            if last_sign and sign != last_sign:
-                raise SingularJetError(
-                    f"curve {self.describe()} has u' changing sign near t = {t}"
-                )
-            if last_sign and sign * (u - last_u) < -CURVE_U_ROUNDING * max(abs(u), abs(last_u)):
-                raise SingularJetError(
-                    f"curve {self.describe()} has u moving against the sign of u' near t = {t}: "
-                    "a pole lies in its domain"
-                )
-            last_sign, last_u = sign, u
+        _refuse_irregular(self.describe(), ts, us, ps)
 
 
 class MobiusCurve(CurveFn):
@@ -276,7 +301,7 @@ class MobiusCurve(CurveFn):
 
     def __init__(self, family: MobiusFamily, domain: tuple):
         self.family = family
-        self.domain = (float(domain[0]), float(domain[1]))
+        self._set_domain(domain)
         poles = family_poles(family, *self.domain)
         if poles:
             raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
@@ -299,19 +324,17 @@ class ExprCurve(ExprVariation, CurveFn):
 
     def __init__(self, source: Union[str, Expr], domain: tuple):
         super().__init__(source)
-        self.domain = (float(domain[0]), float(domain[1]))
+        self._set_domain(domain)
         self._check_regular()
 
 
 class TrajectoryCurve(CurveFn):
-    """Integrated solution used as a curve, through its dense output.  The
-    fourth derivative comes from the equation itself."""
+    """Integrated solution used as a curve on the span of its run, through
+    its dense output.  The fourth derivative comes from the equation itself."""
 
-    def __init__(self, traj: Trajectory, domain: Optional[tuple] = None):
+    def __init__(self, traj: Trajectory):
         self.traj = traj
-        lo = min(traj.t_start, traj.t_final)
-        hi = max(traj.t_start, traj.t_final)
-        self.domain = (float(domain[0]), float(domain[1])) if domain else (lo, hi)
+        self._set_domain(sorted((traj.t_start, traj.t_final)))
         self._check_regular()
 
     def derivs(self, t):
@@ -322,22 +345,6 @@ class TrajectoryCurve(CurveFn):
 
     def describe(self) -> str:
         return f"trajectory(tol={self.traj.tolerance:g})"
-
-
-class PerturbedCurve(LinearCombination, CurveFn):
-    """u + s*v for a curve u and variation v, used by the finite-difference
-    variation: the LinearCombination [(1, u), (s, v)] on u's domain."""
-
-    def __init__(self, curve: CurveFn, variation: VariationFn, s: float):
-        super().__init__([(1.0, curve), (s, variation)])
-        self.curve = curve
-        self.variation = variation
-        self.s = float(s)
-        self.domain = curve.domain
-        self._check_regular()
-
-    def describe(self) -> str:
-        return f"perturbed({self.curve.describe()}, s={self.s:g})"
 
 
 class DuSolution(VariationFn):
@@ -408,10 +415,12 @@ class DuSolution(VariationFn):
         )
         return _rows((v, v1, v2, v3), t)
 
-    def residual(self, n: int = 64, h: float = 1e-4) -> float:
-        """max |D_u(v) - phi| on a verification grid, with v' recomputed by a
-        fourth-order central difference of v = u' (k0 + W), so the check is
-        independent of the derivative formulas in derivs."""
+    def residual(self) -> float:
+        """max |D_u(v) - phi| on DU_CHECK_N points, with v' recomputed by a
+        fourth-order central difference of v = u' (k0 + W) of step
+        DU_CHECK_H, so the check is independent of the derivative formulas
+        in derivs."""
+        n, h = DU_CHECK_N, DU_CHECK_H
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
         if b < a:
             raise ValueError(f"domain [{self.t0:g}, {self.t1:g}] is narrower than the D_u check's stencil, "
@@ -462,9 +471,10 @@ class AdmissibleVariation(VariationFn):
     def derivs(self, t):
         return _rows([x + y for x, y in zip(self.base.derivs(t), self._glue(t))], t)
 
-    def glue_bound(self, n: int = 33) -> float:
-        """K such that max(|vhat|, |D_u(vhat)|) <= K * eps on the glue."""
-        ts = self.t0 + self.eps * np.arange(n) / (n - 1)
+    def glue_bound(self) -> float:
+        """K such that max(|vhat|, |D_u(vhat)|) <= K * eps on GLUE_CHECK_N
+        points of the glue."""
+        ts = self.t0 + self.eps * np.arange(GLUE_CHECK_N) / (GLUE_CHECK_N - 1)
         g0, g1, _, _ = self._glue(ts)
         _, p, q, _ = self.u.derivs(ts)
         return float(max(np.abs(g0).max(), np.abs(g1 - (q / p) * g0).max())) / self.eps
@@ -479,11 +489,16 @@ class AdmissibleVariation(VariationFn):
 
         return (self.base.schwarzian_integral
                 + _quad(glue, self.t0, self.join, self.u.breakpoints)
-                + _boundary("schwarzian", self.u, self, self.t0, self.t1))
+                + self.endpoint_term)
+
+    @cached_property
+    def endpoint_term(self) -> float:
+        """B |_t0^t1 of the combined variation, evaluated directly, once."""
+        return _boundary("schwarzian", self.u, self, self.t0, self.t1)
 
     def endpoint_residual(self) -> float:
-        """|B(t1) - B(t0)| of the combined variation, evaluated directly."""
-        return abs(_boundary("schwarzian", self.u, self, self.t0, self.t1))
+        """|B(t1) - B(t0)| of the combined variation."""
+        return abs(self.endpoint_term)
 
     def describe(self) -> str:
         return f"admissible({self.phi.describe()}, eps={self.eps:g}, c={self.c:g})"
@@ -507,11 +522,13 @@ def admissible_variation(u: CurveFn, phi: VariationFn, eps: float) -> Admissible
     b_end = boundary_B(u.jet(t1), base.var_jet(t1))
     jet0 = u.jet(t0)
     p, q = jet0.p, jet0.q
-    # boundary density of the glue at t0 is c * gain
-    gain = (2.0 + 4.0 * (q / p) * eps + (q ** 2 / (2.0 * p ** 2)) * eps ** 2) / p
-    if abs(gain) < 1e-12:
+    # boundary density of the glue at t0 is c * gain; only * and /, so a
+    # large eps gives an infinite gain rather than OverflowError
+    x = (q / p) * eps
+    gain = (2.0 + 4.0 * x + (x * x) / 2.0) / p
+    if not math.isfinite(gain) or abs(gain) < 1e-12:
         raise InfeasibleVariationError(
-            f"endpoint functional insensitive to the glue coefficient (gain = {gain:.3e})"
+            f"endpoint condition cannot be solved for the glue coefficient (gain = {gain:.3e})"
         )
     return AdmissibleVariation(u, phi, eps, base, b_end / gain)
 
@@ -531,28 +548,42 @@ def functional_IS(u: CurveFn, t0: float, t1: float) -> float:
     return _quad(lambda ts: schwarzian(u.jet(ts)), t0, t1, u.breakpoints)
 
 
-_FUNCTIONALS = {"I_L": functional_IL, "I_S": functional_IS}
+# the density of each functional, integrated by delta_fd
+_FUNCTIONALS = {"I_L": lagrangian, "I_S": schwarzian}
 
 
 def delta_fd(which: str, u: CurveFn, v: VariationFn, h: float = 1e-5,
              richardson: bool = False) -> float:
     """Central finite-difference first variation (I[u+hv] - I[u-hv]) / (2h)
     over u's domain.  With richardson=True the h and h/2 stencils are
-    combined for fourth-order accuracy."""
+    combined for fourth-order accuracy.
+
+    The jet of u + s*v is the jet of u plus s times that of v, so no curve
+    is built: u and v are read once on the regularity grid, where every
+    u + s*v must pass the curve check, and once per panel of one _panels
+    walk that integrates the density of every u + s*v as a column."""
     if which not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {which!r}; expected one of {tuple(_FUNCTIONALS)}")
-    functional = _FUNCTIONALS[which]
+    density = _FUNCTIONALS[which]
     t0, t1 = u.domain
+    steps = (h, h / 2.0) if richardson else (h,)
+    signed = [x for step in steps for x in (step, -step)]
 
-    def central(step):
-        plus = functional(PerturbedCurve(u, v, step), t0, t1)
-        minus = functional(PerturbedCurve(u, v, -step), t0, t1)
-        return (plus - minus) / (2.0 * step)
+    ts = _regularity_grid(t0, t1)
+    ju, jv = u.derivs(ts), v.derivs(ts)
+    for s in signed:
+        _refuse_irregular(f"perturbed({u.describe()}, s={s:g})", ts, ju[0] + s * jv[0], ju[1] + s * jv[1])
 
+    def sample(ts):
+        ju, jv = u.derivs(ts), v.derivs(ts)
+        return np.column_stack([density(Jet4(ts, *(ju + s * jv))) for s in signed])
+
+    breakpoints = tuple(u.breakpoints) + tuple(v.breakpoints)
+    totals = sum(antideriv.sum(axis=0) for *_, antideriv in _panels(sample, t0, t1, breakpoints, QUAD_EPS))
+    central = [float(totals[2 * k] - totals[2 * k + 1]) / (2.0 * step) for k, step in enumerate(steps)]
     if not richardson:
-        return central(h)
-    d1, d2 = central(h), central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+        return central[0]
+    return (4.0 * central[1] - central[0]) / 3.0
 
 
 # each form's integrand from the jets j of u and w of v, at a float or a panel of

@@ -338,6 +338,11 @@ INVALID_JSON = [
     pytest.param(["integrate", "--jet=-1e308,0,1,0,-2", "--t-end=1e308"], id="integrate-span-overflows"),
     pytest.param(["variation", "--u", "t", "--interval", "0,0.0003", "--n", "2"],
                  id="variation-domain-narrower-than-the-residual-stencil"),
+    pytest.param(["invariants", "--F", "1e200*r", "--jet", "0,0,1,0,0"], id="invariants-W0-overflows"),
+    pytest.param(["invariants", "--F", "1e308*p", "--jet", "0,0,1,0,0"], id="invariants-W1-infinite"),
+    pytest.param(["variation", "--u", "t", "--interval=-1e308,1e308", "--n", "1"], id="variation-grid-overflows"),
+    pytest.param(["variation", "--mobius", '{"A":1,"B":0,"C":0,"D":1,"sigma":0}', "--interval=-1e308,1e308"],
+                 id="variation-mobius-grid-overflows"),
     *NON_FINITE_NUMBERS,
     *INVALID_JSON,
 ])
@@ -379,6 +384,33 @@ def test_domain_narrower_than_the_residual_stencil_is_named(capsys):
     assert code == 1
     assert out == ""
     assert "domain [0, 0.0003] is narrower than the D_u check's stencil, 4h = 0.0004" in err
+
+
+def test_invariants_that_overflow_name_the_jet(capsys):
+    code, out, err = run(["invariants", "--F", "1e200*r", "--jet", "0,0,1,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "W0 or W1 overflows or is not finite at the jet [0.0, 0.0, 1.0, 0.0, 0.0]" in err
+
+
+def test_domain_whose_grid_overflows_is_named(capsys):
+    code, _, err = run(["variation", "--u", "t", "--interval=-1e308,1e308", "--n", "1"], capsys)
+    assert code == 1
+    assert "got [-1e+308, 1e+308]" in err
+
+
+def test_huge_interval_prints_only_finite_json(capsys):
+    # the glue gain of a 1e160-long domain squares 5e158: written with * and /
+    # it stays a float, and every number printed is finite
+    def refuse(constant):
+        raise AssertionError(f"non-finite {constant} in the output")
+
+    with within_5_s():
+        code, out, _ = run(["variation", "--u", "t", "--interval", "0,1e160", "--n", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["interval"] == [0.0, 1e160]
+    assert math.isfinite(payload["max_delta"])
 
 
 def test_interval_of_three_values_is_named(capsys):

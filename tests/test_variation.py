@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mobius_curve, random_polynomial_variation
+from schwarzlab import variation
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
@@ -21,7 +22,6 @@ from schwarzlab.variation import (
     ExprVariation,
     LinearCombination,
     MobiusCurve,
-    PerturbedCurve,
     TrajectoryCurve,
     _quad,
     admissible_variation,
@@ -83,8 +83,10 @@ def test_IS_boundary_identity_random_curves():
 def test_near_singular_curve_rejected():
     with pytest.raises(SingularJetError):
         ExprCurve("sin(t)", (0.0, 3.2))  # u' = cos t crosses zero
-    with pytest.raises(SingularJetError):
-        PerturbedCurve(ExprCurve("t", (0.0, 1.0)), ExprVariation("-1*t"), 1.0)
+    # u + s*v = 0 at s = 1: the finite difference refuses its stencil
+    message = "curve perturbed(expr:t, s=1) has |u'| = 0.00e+00 at t = 0.0"
+    with pytest.raises(SingularJetError, match=re.escape(message)):
+        delta_fd("I_S", ExprCurve("t", (0.0, 1.0)), ExprVariation("-1*t"), h=1.0)
 
 
 def test_curve_with_a_pole_in_its_domain_rejected():
@@ -127,6 +129,48 @@ def test_delta_fd_cross_method_on_tan():
     fd = delta_fd("I_S", u, v)
     integral, boundary = delta_form("schwarzian", u, v, 0.0, 1.0)
     assert abs(fd - (integral + boundary)) <= 1e-6
+
+
+@pytest.mark.parametrize("which, functional", [("I_L", functional_IL), ("I_S", functional_IS)])
+def test_delta_fd_equals_the_difference_of_two_expression_curves(which, functional):
+    # independent reference: u + h*(v) and u - h*(v) as expression curves,
+    # whose jets come from Taylor arithmetic on the whole text, each
+    # integrated on its own
+    h = 1e-5
+    u_text, v_text = "exp(2*t)", "t^2 + sin(t)"
+    fd = delta_fd(which, ExprCurve(u_text, (0.0, 1.0)), ExprVariation(v_text), h=h)
+    plus, minus = (functional(ExprCurve(f"{u_text} {sign} {h!r}*({v_text})", (0.0, 1.0)), 0.0, 1.0)
+                   for sign in "+-")
+    assert abs(fd - (plus - minus) / (2.0 * h)) <= 1e-7 * abs(fd)
+
+
+def test_delta_fd_reads_u_and_v_once_on_the_grid_and_once_per_panel(monkeypatch):
+    # both signs share the regularity grid and one _panels walk; two
+    # perturbed curves would read u and v twice on each
+    u = ExprCurve("tan(t)", (0.0, 1.0))
+    v = LinearCombination([(1.0, BumpFn(0.5, 0.2, 1.0))])
+    reads = {"u": 0, "v": 0}
+    for name, fn in (("u", u), ("v", v)):
+        def counted(ts, derivs=fn.derivs, name=name):
+            reads[name] += 1
+            return derivs(ts)
+
+        monkeypatch.setattr(fn, "derivs", counted)
+    walks, panels = [], variation._panels
+
+    def counted_panels(sample, *args):
+        walks.append(0)
+
+        def counted_sample(ts):
+            walks[-1] += 1
+            return sample(ts)
+
+        return panels(counted_sample, *args)
+
+    monkeypatch.setattr(variation, "_panels", counted_panels)
+    delta_fd("I_S", u, v)
+    assert len(walks) == 1 and walks[0] > 2
+    assert reads == {"u": 1 + walks[0], "v": 1 + walks[0]}
 
 
 def test_delta_fd_richardson():
@@ -352,6 +396,13 @@ def test_admissible_support_check():
         admissible_variation(u, BumpFn(0.1, 0.09, 1.0), 0.05)  # support starts left of eps
 
 
+def test_admissible_infinite_gain_is_infeasible():
+    # (q/p) eps = 1e159 at t0, so the glue's boundary gain overflows to inf
+    u = ExprCurve("t + 1e160*t^2", (0.0, 1.0))
+    with pytest.raises(InfeasibleVariationError, match=re.escape("(gain = inf)")):
+        admissible_variation(u, BumpFn(0.5, 0.2, 1.0), 0.05)
+
+
 def test_admissible_infeasible_gain():
     # exp(a t) with a = (2 sqrt(3) - 4)/eps makes the glue's boundary
     # density vanish identically, so no c can meet the condition
@@ -479,13 +530,13 @@ def test_curve_is_a_variation_on_its_domain(kind):
     v = ExprVariation("0.3*t^2 + sin(t)")
     bump = BumpFn(0.5, 0.3, 0.8)
     s = 0.01
-    perturbed = PerturbedCurve(u, v, s)
+    perturbed = LinearCombination([(1.0, u), (s, v)])
     mixed = LinearCombination([(1.0, u), (-0.5, bump)])
     for t in (0.2, 0.5, 0.9):
         jet = u.jet(t)
         assert u.derivs(t) == (jet.u, jet.p, jet.q, jet.r)
         v0, v1, v2, v3 = v.derivs(t)
-        assert perturbed.jet(t) == Jet4(t, jet.u + s * v0, jet.p + s * v1, jet.q + s * v2, jet.r + s * v3)
+        assert perturbed.derivs(t) == (jet.u + s * v0, jet.p + s * v1, jet.q + s * v2, jet.r + s * v3)
         assert mixed.derivs(t) == tuple(a - 0.5 * b for a, b in zip(u.derivs(t), bump.derivs(t)))
         if kind == "expr":
             assert u.fourth(t) == ExprVariation("tan(t)").fourth(t)
@@ -524,7 +575,7 @@ FUNCTIONS_OF_T = {
     "bump": lambda: BumpFn(0.5, 0.3, 0.8),
     "linear-combination": lambda: LinearCombination([(2.0, ExprVariation("t^3")), (-1.0, BumpFn(0.4, 0.2))]),
     "curve-plus-bump": lambda: LinearCombination([(1.0, CURVES_OF_T["mobius"]()), (-0.5, BumpFn(0.5, 0.3, 0.8))]),
-    "perturbed": lambda: PerturbedCurve(CURVES_OF_T["expr"](), ExprVariation("0.3*t^2 + sin(t)"), 0.01),
+    "perturbed": lambda: LinearCombination([(1.0, CURVES_OF_T["expr"]()), (0.01, ExprVariation("0.3*t^2 + sin(t)"))]),
     "du-solution": lambda: solve_du(CURVES_OF_T["mobius"](), BumpFn(0.5, 0.3), 0.2),
     "du-solution-on-trajectory": lambda: solve_du(CURVES_OF_T["trajectory"](), BumpFn(0.5, 0.3), 0.2),
     "admissible": lambda: admissible_variation(CURVES_OF_T["expr"](), BumpFn(0.5, 0.3), 0.05),
