@@ -154,8 +154,11 @@ def _emit(text: str, out):
 
 
 def _emit_json(payload: dict, args) -> None:
+    """Write the payload after the effective config.  A NaN or infinity is
+    not JSON: dumps raises ValueError, which exits 1, before anything is
+    written."""
     payload = {"config": _effective_config(args), **payload}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------

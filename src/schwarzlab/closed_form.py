@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import SingularTimeError
 from .schwarzian import Jet4, el_rhs, schwarzian
-from .symbolics import first_where, pointwise
+from .symbolics import EXP_ARG_MAX, first_where
 
 # Half-width of the exclusion window around a pole when evaluating jets.
 POLE_EPS = 1e-9
@@ -99,16 +99,16 @@ def _shift(sigma: float, t) -> tuple:
     t is a float, or an array of times, whose entries are then arrays."""
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
-        cs, sn = pointwise(math.cos, w * t), pointwise(math.sin, w * t)
+        cs, sn = np.cos(w * t), np.sin(w * t)
         return (w * cs, sn, -w * sn, cs), w
     if sigma == 0:
         return (1.0, t, 0.0, 1.0), 1.0
     k = math.sqrt(-sigma / 2.0)
-    try:
-        up, down = pointwise(math.exp, k * t), pointwise(math.exp, -k * t)
-    except OverflowError:
-        kt = float(np.max(np.abs(k * t)))
-        raise ValueError(f"e^(+-k t) is outside the float range at |k t| = {kt:g}") from None
+    kt = abs(k * t)
+    outside = first_where(kt > EXP_ARG_MAX, kt)
+    if outside is not None:
+        raise ValueError(f"e^(+-k t) is outside the float range at |k t| = {outside:g}")
+    up, down = np.exp(k * t), np.exp(-k * t)
     return (k * up, up, -k * down, down), 2.0 * k
 
 
@@ -159,7 +159,8 @@ def family_of_jet(jet: Jet4) -> MobiusFamily:
     c = jet.q / (2.0 * jet.p)
     (pa, pb, pc, pd), _ = _shift(sigma, jet.t)
     j11, u = jet.p - c * jet.u, jet.u
-    return MobiusFamily(j11 * pd - u * pc, u * pa - j11 * pb, -c * pd - pc, c * pb + pa, sigma)
+    # P's entries are np.float64 for sigma != 0; the family holds plain floats
+    return MobiusFamily(*map(float, (j11 * pd - u * pc, u * pa - j11 * pb, -c * pd - pc, c * pb + pa)), sigma)
 
 
 def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float, public: bool = False) -> list:

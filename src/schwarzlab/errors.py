@@ -15,7 +15,8 @@ class ParseError(SchwarzLabError):
 
 class EvalDomainError(SchwarzLabError):
     """Evaluation left the domain: division by zero, ln of a non-positive
-    value, or tan within tolerance of a pole."""
+    value, tan within tolerance of a pole, exp past the float range, or sin,
+    cos or tan of an infinity."""
 
 
 class SeriesMismatchError(SchwarzLabError):

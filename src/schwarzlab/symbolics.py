@@ -5,12 +5,21 @@ five-variable expression trees (over t, u, p, q, r) are evaluated in two
 modes: plain floats, and truncated power series.  Series evaluation along a
 formal ODE solution is how every total derivative in the package is computed,
 so there is no finite-difference noise anywhere in the invariant formulas.
+
+numpy's ufuncs evaluate exp, ln, sin, cos and tan on every path: at a float,
+in a series at a float, and in a batch.  numpy gives the same bits for a
+float as for the same float inside an array, so a batch equals the float
+path; the test suite's test_batch_derivs_equal_the_scalar_path and
+test_batch_series_equals_the_scalar_series_at_every_point guard that.  At a
+float a ufunc returns np.float64, a float with the same bits.  An argument
+outside a function's domain raises EvalDomainError before the ufunc runs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping, Union
@@ -24,21 +33,13 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "ln")
 
 # |cos| below this counts as a tan pole.
 TAN_POLE_TOL = 1e-12
+# The largest float whose exp is finite: exp of the next float overflows.
+EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
 # Truncated Taylor series
 # ---------------------------------------------------------------------------
-
-def pointwise(fn, x):
-    """fn, a math.* function, at a float x, or at each element of an array x.
-    numpy's own exp, tan and log differ from math's in the last bit on a few
-    inputs, so an array goes through math element by element and a batch
-    stays equal to the scalar path."""
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()])
-    return fn(x)
-
 
 def first_where(mask, points):
     """The first point where mask holds, or None.  mask is a bool at a float
@@ -48,14 +49,6 @@ def first_where(mask, points):
             return None
         return float(np.broadcast_to(points, mask.shape)[mask.argmax()])
     return points if mask else None
-
-
-def _exp_overflows(x: float) -> bool:
-    try:
-        math.exp(x)
-    except OverflowError:
-        return True
-    return False
 
 
 def _same_point(a, b) -> bool:
@@ -76,10 +69,11 @@ class TaylorScalar:
     A batch of series, one per point of an array of base points, has that
     array as its base point and coefficients that are floats or arrays of
     the same shape.  Every operation then acts element by element with the
-    scalar sequence of floating-point operations, so each element equals the
-    series computed at that point alone.  A domain error at any point raises
-    EvalDomainError naming the first such t.  Series compare and hash by
-    identity, as an elementwise == on a batch has no single truth value.
+    scalar sequence of floating-point operations, and the same numpy ufunc,
+    so each element equals the series computed at that point alone.  A
+    domain error at any point raises EvalDomainError naming the first such
+    t.  Series compare and hash by identity, as an elementwise == on a batch
+    has no single truth value.
     """
 
     base_point: float
@@ -222,11 +216,9 @@ class TaylorScalar:
     def exp(self) -> "TaylorScalar":
         g = self.coeffs
         n = self.order
+        self._refuse(g[0] > EXP_ARG_MAX, "exp overflows the float range")
         h = [0.0] * (n + 1)
-        try:
-            h[0] = pointwise(math.exp, g[0])
-        except OverflowError:
-            self._refuse(pointwise(_exp_overflows, g[0]), "exp overflows the float range")
+        h[0] = np.exp(g[0])
         for m in range(1, n + 1):
             acc = 0.0
             for j in range(1, m + 1):
@@ -239,7 +231,7 @@ class TaylorScalar:
         self._refuse(g[0] <= 0.0, "ln of a non-positive series value")
         n = self.order
         h = [0.0] * (n + 1)
-        h[0] = pointwise(math.log, g[0])
+        h[0] = np.log(g[0])
         for m in range(1, n + 1):
             acc = g[m]
             for j in range(1, m):
@@ -249,11 +241,11 @@ class TaylorScalar:
 
     def _sin_cos(self):
         g = self.coeffs
+        self._refuse(abs(g[0]) == math.inf, "sin, cos or tan of an infinite series value")
         n = self.order
         s = [0.0] * (n + 1)
         c = [0.0] * (n + 1)
-        s[0] = pointwise(math.sin, g[0])
-        c[0] = pointwise(math.cos, g[0])
+        s[0], c[0] = np.sin(g[0]), np.cos(g[0])
         for m in range(1, n + 1):
             acc_s = acc_c = 0.0
             for j in range(1, m + 1):
@@ -539,27 +531,23 @@ def _parse_base(toks: _Tokens) -> Expr:
 # Evaluation (shared by floats and Taylor series)
 # ---------------------------------------------------------------------------
 
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log}
+
+
 def _apply_func(name: str, x: Number) -> Number:
     if isinstance(x, TaylorScalar):
         return getattr(x, name)()
-    if name == "sin":
-        return math.sin(x)
-    if name == "cos":
-        return math.cos(x)
-    if name == "tan":
-        if abs(math.cos(x)) < TAN_POLE_TOL:
-            raise EvalDomainError(f"tan pole within tolerance at argument {x}")
-        return math.tan(x)
-    if name == "exp":
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise EvalDomainError(f"exp of {x} overflows the float range") from None
-    if name == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x}")
-        return math.log(x)
-    raise ValueError(f"unknown function {name!r}")
+    if name not in _UFUNCS:
+        raise ValueError(f"unknown function {name!r}")
+    if name in ("sin", "cos", "tan") and abs(x) == math.inf:
+        raise EvalDomainError(f"{name} of infinite argument {x}")
+    if name == "tan" and abs(np.cos(x)) < TAN_POLE_TOL:
+        raise EvalDomainError(f"tan pole within tolerance at argument {x}")
+    if name == "exp" and x > EXP_ARG_MAX:
+        raise EvalDomainError(f"exp of {x} overflows the float range")
+    if name == "ln" and x <= 0.0:
+        raise EvalDomainError(f"ln of non-positive value {x}")
+    return _UFUNCS[name](x)
 
 
 def _evaluate(e: Expr, env: Mapping) -> Number:

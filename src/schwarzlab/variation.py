@@ -32,7 +32,7 @@ from .closed_form import MobiusFamily, family_derivs, family_fourth, family_pole
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, d_u, el_rhs, guarded, lagrangian, schwarzian
-from .symbolics import Expr, TaylorScalar, parse, pointwise, taylor_eval, variables_of
+from .symbolics import Expr, TaylorScalar, first_where, parse, taylor_eval, variables_of
 
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
@@ -79,7 +79,8 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
     max(CHEB_TAIL * scale, floor), scale the largest coefficient of the
     initial panels.  Returns (lo, hi, coefficients of the antiderivative on
     [lo, hi] that vanishes at lo) per panel; its value at hi is its sum, as
-    T_j(1) = 1.  Raises QuadratureError past CHEB_MAX_PANELS panels."""
+    T_j(1) = 1.  Raises QuadratureError on a panel whose coefficients are
+    not finite, and past CHEB_MAX_PANELS panels."""
     def fit(lo, hi):
         return _CHEB_FIT @ sample(0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES)
 
@@ -91,6 +92,9 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
     while stack:
         lo, hi, coef = stack.pop()
         tail = np.abs(coef[-2:]).max()
+        if not math.isfinite(tail):
+            raise QuadratureError(f"quadrature over [{a:g}, {b:g}]: the integrand is not finite "
+                                  f"on the panel [{lo:g}, {hi:g}]", tail * (hi - lo))
         if tail > tol:
             if len(done) + len(stack) >= CHEB_MAX_PANELS:
                 raise QuadratureError(f"quadrature over [{a:g}, {b:g}] did not converge: not resolved in "
@@ -130,10 +134,13 @@ def _regularity_grid(t0: float, t1: float):
 
 def _refuse_irregular(name: str, ts, us, ps) -> None:
     """Raise SingularJetError unless the curve called name, with values us and
-    slopes ps at the increasing points ts, keeps |u'| >= CURVE_P_FLOOR, keeps
-    the sign of u', and never moves u against that sign between two points:
-    by the mean value theorem a continuous u cannot, so a pole lies between
-    them."""
+    slopes ps at the increasing points ts, is finite there, keeps |u'| >=
+    CURVE_P_FLOOR, keeps the sign of u', and never moves u against that sign
+    between two points: by the mean value theorem a continuous u cannot, so a
+    pole lies between them."""
+    t = first_where(~(np.isfinite(us) & np.isfinite(ps)), ts)
+    if t is not None:
+        raise SingularJetError(f"curve {name} is not finite at t = {t}")
     last_sign, last_u = 0.0, 0.0
     for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
         if abs(p) < CURVE_P_FLOOR:
@@ -226,7 +233,7 @@ class BumpFn(VariationFn):
         x = self._x(t)
         s = 1.0 - x * x
         inside = s > 1e-12
-        return self.amplitude * pointwise(math.exp, -1.0 / np.where(inside, s, 1.0)) * inside
+        return self.amplitude * np.exp(-1.0 / np.where(inside, s, 1.0)) * inside
 
     def derivs(self, t):
         x0 = self._x(t)

@@ -343,6 +343,11 @@ INVALID_JSON = [
     pytest.param(["variation", "--u", "t", "--interval=-1e308,1e308", "--n", "1"], id="variation-grid-overflows"),
     pytest.param(["variation", "--mobius", '{"A":1,"B":0,"C":0,"D":1,"sigma":0}', "--interval=-1e308,1e308"],
                  id="variation-mobius-grid-overflows"),
+    pytest.param(["invariants", "--F", "sin(1e308*10*p)", "--jet", "0,0,1,0,0"], id="invariants-sin-of-infinity"),
+    pytest.param(["linearize", "--F", "exp(1e308*10*p)", "--base", "line", "--t", "0"],
+                 id="linearize-exp-of-infinity"),
+    pytest.param(["variation", "--u", "1e308*10*t", "--interval", "0.5,2", "--n", "1"], id="variation-curve-infinite"),
+    pytest.param(["linearize", "--F", "1e308*10*p", "--base", "line", "--t", "0"], id="linearize-result-infinite"),
     *NON_FINITE_NUMBERS,
     *INVALID_JSON,
 ])
@@ -411,6 +416,24 @@ def test_huge_interval_prints_only_finite_json(capsys):
     payload = json.loads(out, parse_constant=refuse)
     assert payload["interval"] == [0.0, 1e160]
     assert math.isfinite(payload["max_delta"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--F", "sin(1e308*10*p)", "--jet", "0,0,1,0,0"],
+     "sin, cos or tan of an infinite series value at t = 0.0"),
+    (["variation", "--u", "sin(1e308*10*t)", "--interval", "0.5,2", "--n", "1"],
+     "sin, cos or tan of an infinite series value at t = 0.5"),
+    (["variation", "--u", "1e308*10*t", "--interval", "0.5,2", "--n", "1"],
+     "curve expr:1e+308*10.0*t is not finite at t = 0.5"),
+    # a1 = F_p = inf and a2 = F_q = nan: JSON has no such numbers
+    (["linearize", "--F", "1e308*10*p", "--base", "line", "--t", "0"], "not JSON compliant"),
+], ids=["invariants-sin", "variation-sin", "variation-curve", "linearize-json"])
+def test_infinity_is_named_where_it_is_read(argv, message, capsys):
+    # 1e308*10 is inf
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_interval_of_three_values_is_named(capsys):

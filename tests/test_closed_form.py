@@ -3,6 +3,7 @@ agreement with the numerical integrator."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from schwarzlab.closed_form import (
 from schwarzlab.el_ode import integrate
 from schwarzlab.errors import SingularTimeError
 from schwarzlab.schwarzian import Jet4, schwarzian
+from schwarzlab.symbolics import EXP_ARG_MAX
 from schwarzlab.variation import MobiusCurve
 
 
@@ -305,6 +307,21 @@ def test_family_of_jet_outside_the_float_range(t0):
     # sigma = -200, k = 10: e^{+-k t0} = e^{+-1000} overflows
     with pytest.raises(ValueError, match="outside the float range"):
         family_of_jet(Jet4(t0, 0.0, 1.0, 0.0, -200.0))
+
+
+def test_hyperbolic_shift_at_EXP_ARG_MAX_is_finite_and_refused_past_it():
+    # sigma = -2, k = 1: k t is t itself, so e^{k t} is finite at EXP_ARG_MAX
+    past = math.nextafter(EXP_ARG_MAX, math.inf)
+    fam = MobiusFamily(0.0, 1.0, 1.0, 0.0, -2.0)
+    for t in (EXP_ARG_MAX, np.array([0.0, EXP_ARG_MAX])):
+        assert np.isfinite(family_eval_jet(fam, t).as_tuple()[1:]).all()
+    assert math.isfinite(family_of_jet(Jet4(EXP_ARG_MAX, 0.0, 1.0, 0.0, -2.0)).determinant)
+    message = f"e^(+-k t) is outside the float range at |k t| = {past:g}"
+    for t in (past, -past, np.array([0.0, past])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family_eval_jet(fam, t)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        family_of_jet(Jet4(past, 0.0, 1.0, 0.0, -2.0))
 
 
 def test_window_of_too_many_solutions_is_refused():

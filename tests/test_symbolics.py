@@ -13,6 +13,7 @@ from conftest import random_expr, random_jet, substitute
 from schwarzlab.errors import EvalDomainError, ParseError, SeriesMismatchError
 from schwarzlab.schwarzian import EL_FIELD_TEXT, Jet4
 from schwarzlab.symbolics import (
+    EXP_ARG_MAX,
     Add,
     Const,
     Div,
@@ -223,6 +224,10 @@ def test_eval_domain_errors():
         eval_scalar(parse("tan(t)"), {"t": math.pi / 2})
     with pytest.raises(EvalDomainError):
         fold(parse("1/(2-2)"))
+    with pytest.raises(EvalDomainError, match="sin of infinite argument inf"):
+        eval_scalar(parse("sin(u)"), {"u": math.inf})
+    with pytest.raises(EvalDomainError, match="exp of inf overflows the float range"):
+        eval_scalar(parse("exp(u)"), {"u": math.inf})
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +428,43 @@ def test_batch_series_compare_and_hash_by_identity():
     a, b = TaylorScalar.variable(ts, 3), TaylorScalar.variable(ts.copy(), 3)
     assert a == a and a != b
     assert hash(a) == hash(a) != hash(b)
+
+
+# ---------------------------------------------------------------------------
+# numpy's ufuncs at a float and on an array
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "ln"])
+def test_eval_scalar_equals_the_series_value(name):
+    # both paths call the same ufunc, so coefficient 0 is the float's value
+    e = parse(f"{name}(t)")
+    for t in np.random.default_rng(3).uniform(0.01, 40.0, 200).tolist():
+        assert eval_scalar(e, {"t": t}) == taylor_eval(e, {"t": TaylorScalar.variable(t, 3)}).coeffs[0]
+
+
+def test_exp_at_EXP_ARG_MAX_is_finite_and_refused_past_it():
+    past = math.nextafter(EXP_ARG_MAX, math.inf)
+    e = parse("exp(t)")
+    assert math.isfinite(eval_scalar(e, {"t": EXP_ARG_MAX}))
+    with pytest.raises(EvalDomainError, match=re.escape(f"exp of {past} overflows the float range")):
+        eval_scalar(e, {"t": past})
+    for base in (EXP_ARG_MAX, np.array([0.0, EXP_ARG_MAX])):
+        s = taylor_eval(e, {"t": TaylorScalar.variable(base, 3)})
+        assert all(np.isfinite(c).all() for c in s.coeffs)
+    message = f"exp overflows the float range at t = {past}"
+    for base in (past, np.array([0.0, past, math.inf])):
+        with pytest.raises(EvalDomainError, match=re.escape(message)):
+            taylor_eval(e, {"t": TaylorScalar.variable(base, 3)})
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+def test_trigonometric_of_infinity_is_refused(name):
+    # 1e308*10 is inf, so the argument is -inf at -1 and +inf at 0.5 and 2
+    e = parse(f"{name}(1e308*10*t)")
+    with pytest.raises(EvalDomainError, match=f"{name} of infinite argument -inf"):
+        eval_scalar(e, {"t": -1.0})
+    message = "sin, cos or tan of an infinite series value at t = "
+    with pytest.raises(EvalDomainError, match=re.escape(message + "-1.0")):
+        taylor_eval(e, {"t": TaylorScalar.variable(-1.0, 3)})
+    with pytest.raises(EvalDomainError, match=re.escape(message + "0.5")):
+        taylor_eval(e, {"t": TaylorScalar.variable(np.array([0.5, 2.0]), 3)})

@@ -89,6 +89,16 @@ def test_near_singular_curve_rejected():
         delta_fd("I_S", ExprCurve("t", (0.0, 1.0)), ExprVariation("-1*t"), h=1.0)
 
 
+def test_curve_that_is_not_finite_rejected():
+    # 1e308*10 is inf: u = u' = inf on the whole domain
+    with pytest.raises(SingularJetError, match=re.escape("curve expr:1e+308*10.0*t is not finite at t = 0.5")):
+        ExprCurve("1e308*10*t", (0.5, 2.0))
+    # every u + s*v is inf, which the finite difference refuses before integrating
+    message = "curve perturbed(expr:t, s=1e-05) is not finite at t = 0.5"
+    with pytest.raises(SingularJetError, match=re.escape(message)):
+        delta_fd("I_L", ExprCurve("t", (0.5, 1.5)), ExprVariation("1e308*10*t"))
+
+
 def test_curve_with_a_pole_in_its_domain_rejected():
     # u' keeps its sign across a simple pole, so only the exact pole map
     # (MobiusCurve) or u moving against u' (any curve) can see it
@@ -223,6 +233,18 @@ def test_quad_not_converged_raises():
     with pytest.raises(QuadratureError, match="did not converge") as info:
         _quad(lambda ts: np.sin(1.0 / ts), 0.0, 1.0)
     assert info.value.abserr > 0.0
+
+
+def test_quad_of_a_non_finite_integrand_raises():
+    with pytest.raises(QuadratureError, match=re.escape("the integrand is not finite on the panel [0, 1]")):
+        _quad(lambda ts: np.full(len(ts), np.nan), 0.0, 1.0)
+
+
+# v = inf * t, so q * v' = 0 * inf is nan, and numpy says so before the panel does
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_form_of_a_non_finite_variation_raises():
+    with pytest.raises(QuadratureError, match="the integrand is not finite"):
+        delta_form("direct", ExprCurve("t", (0.5, 1.5)), ExprVariation("1e308*10*t"), 0.5, 1.5)
 
 
 def test_quad_matches_scipy_quad_oracle():
