@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularTimeError
+from .errors import EvalDomainError, SingularTimeError
 from .schwarzian import Jet4, el_rhs, schwarzian
 from .symbolics import EXP_ARG_MAX, first_where
 
@@ -115,7 +115,8 @@ def _shift(sigma: float, t) -> tuple:
 def _member(f: MobiusFamily, t) -> tuple:
     """(u, p, c) of the member u(t + s) = u + p G(s)/(1 - c G(s)) at t, a
     float or an array of times.  Its nearest pole is where G(s) = 1/c, so
-    |1/c| < POLE_EPS counts as a pole."""
+    |1/c| < POLE_EPS counts as a pole.  Its callers run it with numpy's
+    overflow warnings off and refuse what is not finite (_refuse_overflow)."""
     (a, b, c, d), det = _shift(f.sigma, t)
     beta, gamma, delta = f.A * b + f.B * d, f.C * a + f.D * c, f.C * b + f.D * d
     pole = first_where(abs(delta) < POLE_EPS * abs(gamma), t)
@@ -124,12 +125,26 @@ def _member(f: MobiusFamily, t) -> tuple:
     return beta / delta, f.determinant * det / delta / delta, -gamma / delta
 
 
+def _refuse_overflow(t, zeros) -> None:
+    """Raise EvalDomainError naming the first t where zeros is not 0.  A
+    caller passes the sum of x * 0.0 over the values it computed at t: 0
+    where every one is finite, and nan where one is not."""
+    bad = first_where(zeros != 0.0, t)
+    if bad is not None:
+        raise EvalDomainError(f"the family member leaves the float range at t = {bad}")
+
+
+# numpy warns of no overflow in a member's jet: _refuse_overflow refuses it instead
+@np.errstate(over="ignore", invalid="ignore")
 def family_derivs(f: MobiusFamily, t) -> tuple:
     """(u, u', u'', u''') of the family member at t, a float or an array of
     times, from the series of G: q = 2pc and r = p (sigma + 6c^2).  On an
     array each element equals the value at that time alone."""
     u, p, c = _member(f, t)
-    return u, p, 2.0 * p * c, p * (f.sigma + 6.0 * c * c)
+    q, r = 2.0 * p * c, p * (f.sigma + 6.0 * c * c)
+    # where p or c is not finite, neither is q
+    _refuse_overflow(t, u * 0.0 + q * 0.0 + r * 0.0)
+    return u, p, q, r
 
 
 def family_eval_jet(f: MobiusFamily, t) -> Jet4:
@@ -138,10 +153,13 @@ def family_eval_jet(f: MobiusFamily, t) -> Jet4:
     return Jet4(t, *family_derivs(f, t))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def family_fourth(f: MobiusFamily, t: float) -> float:
     """u''''(t) = 8pc (sigma + 3c^2) of the family member."""
     _, p, c = _member(f, t)
-    return 8.0 * p * c * (f.sigma + 3.0 * c * c)
+    fourth = 8.0 * p * c * (f.sigma + 3.0 * c * c)
+    _refuse_overflow(t, fourth * 0.0)
+    return fourth
 
 
 def family_of_jet(jet: Jet4) -> MobiusFamily:

@@ -15,8 +15,9 @@ class ParseError(SchwarzLabError):
 
 class EvalDomainError(SchwarzLabError):
     """Evaluation left the domain: division by zero, ln of a non-positive
-    value, tan within tolerance of a pole, exp past the float range, or sin,
-    cos or tan of an infinity."""
+    value, tan within tolerance of a pole, exp past the float range, sin,
+    cos or tan of an infinity, or a family member's jet past the float
+    range."""
 
 
 class SeriesMismatchError(SchwarzLabError):

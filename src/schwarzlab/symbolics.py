@@ -6,12 +6,12 @@ modes: plain floats, and truncated power series.  Series evaluation along a
 formal ODE solution is how every total derivative in the package is computed,
 so there is no finite-difference noise anywhere in the invariant formulas.
 
-numpy's ufuncs evaluate exp, ln, sin, cos and tan on every path: at a float,
-in a series at a float, and in a batch.  numpy gives the same bits for a
-float as for the same float inside an array, so a batch equals the float
-path; the test suite's test_batch_derivs_equal_the_scalar_path and
-test_batch_series_equals_the_scalar_series_at_every_point guard that.  At a
-float a ufunc returns np.float64, a float with the same bits.  An argument
+numpy's ufuncs evaluate exp, ln, sin and cos, and tan as sin/cos, on every
+path: at a float, in a series at a float, and in a batch.  numpy gives the
+same bits for a float as for the same float inside an array, so a batch
+equals the float path; the test suite's test_batch_derivs_equal_the_scalar_path
+and test_batch_series_equals_the_scalar_series_at_every_point guard that.  At
+a float a ufunc returns np.float64, a float with the same bits.  An argument
 outside a function's domain raises EvalDomainError before the ufunc runs.
 """
 
@@ -531,7 +531,8 @@ def _parse_base(toks: _Tokens) -> Expr:
 # Evaluation (shared by floats and Taylor series)
 # ---------------------------------------------------------------------------
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log}
+# tan is sin/cos, the series' own formula, so a float equals coefficient 0
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": lambda x: np.sin(x) / np.cos(x), "exp": np.exp, "ln": np.log}
 
 
 def _apply_func(name: str, x: Number) -> Number:

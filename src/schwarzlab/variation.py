@@ -15,7 +15,9 @@ condition, and the resulting critical-point test.
 Every integral here runs on one panel rule (_panels): the interval is split
 at the integrand's breakpoints and each panel is bisected until the two
 trailing coefficients of its CHEB_N-point Chebyshev interpolant are
-negligible; the panel's integral is then exact for that interpolant.
+negligible; the panel's integral is then exact for that interpolant.  The
+walk goes one bisection level at a time, so each level is sampled in one
+call, and DuSolution reads W at any set of nodes in one Clenshaw pass.
 """
 
 from __future__ import annotations
@@ -73,37 +75,47 @@ _CHEB_INT = chebint(np.eye(CHEB_N), lbnd=-1.0)
 def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list:
     """Chebyshev panels that resolve an integrand on [a, b], left to right.
 
-    sample(ts) gives the integrand at the nodes ts of a panel, one row a node
+    sample(ts) gives the integrand at a 1-D array of nodes ts, one row a node
     (one column an integrand).  [a, b] is split at the breakpoints inside it,
     and each panel is bisected until its two trailing coefficients are <=
     max(CHEB_TAIL * scale, floor), scale the largest coefficient of the
     initial panels.  Returns (lo, hi, coefficients of the antiderivative on
     [lo, hi] that vanishes at lo) per panel; its value at hi is its sum, as
     T_j(1) = 1.  Raises QuadratureError on a panel whose coefficients are
-    not finite, and past CHEB_MAX_PANELS panels."""
-    def fit(lo, hi):
-        return _CHEB_FIT @ sample(0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES)
+    not finite, and past CHEB_MAX_PANELS panels.
+
+    The walk goes one bisection level at a time: each level is sampled in one
+    sample call over the nodes of all of its panels, and each panel is then
+    fitted on its own, as a batched product would round differently.  So
+    every panel is the one a walk panel by panel would give, bit for bit."""
+    def fit(level):
+        values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
+        return [_CHEB_FIT @ v for v in values.reshape((len(level), CHEB_N) + values.shape[1:])]
 
     edges = sorted({a, b} | {float(x) for x in breakpoints if a < x < b})
-    # leftmost panel last, so pop() walks the interval from a to b
-    stack = [(lo, hi, fit(lo, hi)) for lo, hi in reversed(list(zip(edges[:-1], edges[1:])))]
-    tol = max(CHEB_TAIL * max((np.abs(coef).max() for *_, coef in stack), default=0.0), floor)
-    done = []
-    while stack:
-        lo, hi, coef = stack.pop()
-        tail = np.abs(coef[-2:]).max()
-        if not math.isfinite(tail):
-            raise QuadratureError(f"quadrature over [{a:g}, {b:g}]: the integrand is not finite "
-                                  f"on the panel [{lo:g}, {hi:g}]", tail * (hi - lo))
-        if tail > tol:
-            if len(done) + len(stack) >= CHEB_MAX_PANELS:
+    level = list(zip(edges[:-1], edges[1:]))
+    done, tol = [], None
+    while level:
+        coefs = fit(level)
+        if tol is None:
+            tol = max(CHEB_TAIL * max(np.abs(coef).max() for coef in coefs), floor)
+        halves = []
+        for i, ((lo, hi), coef) in enumerate(zip(level, coefs)):
+            tail = np.abs(coef[-2:]).max()
+            if not math.isfinite(tail):
+                raise QuadratureError(f"quadrature over [{a:g}, {b:g}]: the integrand is not finite "
+                                      f"on the panel [{lo:g}, {hi:g}]", tail * (hi - lo))
+            if tail <= tol:
+                done.append((lo, hi, 0.5 * (hi - lo) * (_CHEB_INT @ coef)))
+            elif len(done) + len(halves) + len(level) - i - 1 >= CHEB_MAX_PANELS:
+                # the panels besides this one: done, halved so far and the rest of the level
                 raise QuadratureError(f"quadrature over [{a:g}, {b:g}] did not converge: not resolved in "
                                       f"{CHEB_MAX_PANELS} Chebyshev panels near t = {lo:g}", tail * (hi - lo))
-            m = 0.5 * (lo + hi)
-            stack += [(m, hi, fit(m, hi)), (lo, m, fit(lo, m))]
-            continue
-        done.append((lo, hi, 0.5 * (hi - lo) * (_CHEB_INT @ coef)))
-    return done
+            else:
+                m = 0.5 * (lo + hi)
+                halves += [(lo, m), (m, hi)]
+        level = halves
+    return sorted(done, key=lambda panel: panel[0])
 
 
 def _quad(fn, a, b, breakpoints=()):
@@ -386,26 +398,25 @@ class DuSolution(VariationFn):
                 fg[live, 0], fg[live, 1] = f / j.p, s * f / j.p
             return fg
 
-        self._pieces = []
-        total = np.zeros(2)  # running (W, int S phi/u')
-        for a, b, antideriv in _panels(sample, self.t0, self.t1, phi.breakpoints):
-            self._pieces.append((a, b, float(total[0]), antideriv[:, 0]))
-            total += antideriv.sum(axis=0)
-        self._lefts = np.array([a for a, *_ in self._pieces])
-        self.schwarzian_integral = float(total[1])
+        panels = _panels(sample, self.t0, self.t1, phi.breakpoints)
+        # running (W, int S phi/u') at the right end of each panel
+        totals = np.cumsum([antideriv.sum(axis=0) for *_, antideriv in panels], axis=0)
+        # per panel: its ends, W at its left end, and in a column the
+        # coefficients of W on it
+        self._lefts, self._rights = np.array([(a, b) for a, b, _ in panels]).T
+        self._offsets = np.concatenate([[0.0], totals[:-1, 0]])
+        self._coefs = np.array([antideriv[:, 0] for *_, antideriv in panels]).T
+        self.schwarzian_integral = float(totals[-1, 1])
 
     def _cumulative(self, ts):
-        """W at a float, or at the nodes of a 1-D array ts, clamped to [t0, t1]."""
+        """W at a float, or at the nodes of a 1-D array ts, clamped to [t0, t1]:
+        every node's panel gathered, then one Clenshaw pass over all nodes."""
         if not isinstance(ts, np.ndarray):
             return float(self._cumulative(np.array([ts]))[0])
         ts = np.clip(ts, self.t0, self.t1)
         piece = np.maximum(np.searchsorted(self._lefts, ts, side="right") - 1, 0)
-        out = np.empty(len(ts))
-        for i in np.unique(piece).tolist():
-            a, b, w, antideriv = self._pieces[i]
-            at = piece == i
-            out[at] = w + chebval((2.0 * ts[at] - a - b) / (b - a), antideriv)
-        return out
+        a, b = self._lefts[piece], self._rights[piece]
+        return self._offsets[piece] + chebval((2.0 * ts - a - b) / (b - a), self._coefs[:, piece], tensor=False)
 
     def derivs(self, t):
         _, p, q, r = self.u.derivs(t)
@@ -426,12 +437,19 @@ class DuSolution(VariationFn):
         """max |D_u(v) - phi| on DU_CHECK_N points, with v' recomputed by a
         fourth-order central difference of v = u' (k0 + W) of step
         DU_CHECK_H, so the check is independent of the derivative formulas
-        in derivs."""
+        in derivs.  Raises ValueError on a domain narrower than the stencil,
+        and on one so far from 0 that the stencil's five points round to
+        fewer: checked at the domain's largest |t|, where floats lie the
+        farthest apart."""
         n, h = DU_CHECK_N, DU_CHECK_H
         a, b = self.t0 + 2 * h, self.t1 - 2 * h
         if b < a:
             raise ValueError(f"domain [{self.t0:g}, {self.t1:g}] is narrower than the D_u check's stencil, "
                              f"4h = {4 * h:g}")
+        t = max(abs(self.t0), abs(self.t1))
+        if not t - 2 * h < t - h < t < t + h < t + 2 * h:
+            raise ValueError(f"domain [{self.t0:g}, {self.t1:g}] is too far from 0 for the D_u check's stencil: "
+                             f"t - 2h, t - h, t, t + h and t + 2h are not distinct at t = {t:g}, h = {h:g}")
         ts = a + (b - a) * np.arange(n) / (n - 1)
         # the four stencil points of every t, then t itself, in one batch
         nodes = np.concatenate([ts + k * h for k in (-2, -1, 1, 2)] + [ts])

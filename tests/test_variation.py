@@ -2,6 +2,7 @@
 the integrating-factor solver, admissible variations, and the critical-point
 test."""
 
+import bisect
 import math
 import re
 
@@ -412,6 +413,14 @@ def test_admissible_endpoint_condition_generic():
     assert adm.glue_bound() * adm.eps <= 10.0 * adm.eps
 
 
+def test_admissible_variation_on_a_huge_domain_stays_finite():
+    # the glue of a 1e160-long domain is 5e158 wide and its square overflows:
+    # written with * and /, every quantity of the probe stays a finite float
+    u = ExprCurve("t", (0.0, 1e160))
+    adm = admissible_variation(u, BumpFn(5e159, 1e159, 1.0), variation.CRITICAL_EPS * 1e160)
+    assert all(math.isfinite(x) for x in (adm.c, adm.delta_IS(), adm.endpoint_residual(), adm.glue_bound()))
+
+
 def test_admissible_support_check():
     u = ExprCurve("t", (0.0, 1.0))
     with pytest.raises(ValueError):
@@ -641,3 +650,150 @@ def test_mobius_batch_derivs_raise_over_a_pole_as_jet_does(family, pole):
         u.jet(pole)
     with pytest.raises(SingularTimeError, match=re.escape(f"t = {pole!r}")):
         u.derivs(np.array([0.1, 0.3, pole, pole + 0.2]))
+
+
+# ---------------------------------------------------------------------------
+# the panel walk: one sample call per bisection level, W in one Clenshaw pass
+# ---------------------------------------------------------------------------
+
+def depth_first_panels(sample, a, b, breakpoints, floor=0.0):
+    """The panels of _panels from a walk that samples and fits one panel at a
+    time, depth first, with the same cap; None where the cap is hit."""
+    def fit(lo, hi):
+        return variation._CHEB_FIT @ sample(0.5 * (lo + hi) + 0.5 * (hi - lo) * variation._CHEB_NODES)
+
+    edges = sorted({a, b} | {float(x) for x in breakpoints if a < x < b})
+    stack = [(lo, hi, fit(lo, hi)) for lo, hi in reversed(list(zip(edges[:-1], edges[1:])))]
+    tol = max(variation.CHEB_TAIL * max(np.abs(coef).max() for *_, coef in stack), floor)
+    done = []
+    while stack:
+        lo, hi, coef = stack.pop()
+        if np.abs(coef[-2:]).max() <= tol:
+            done.append((lo, hi, 0.5 * (hi - lo) * (variation._CHEB_INT @ coef)))
+        elif len(done) + len(stack) >= variation.CHEB_MAX_PANELS:
+            return None
+        else:
+            m = 0.5 * (lo + hi)
+            stack += [(m, hi, fit(m, hi)), (lo, m, fit(lo, m))]
+    return done
+
+
+def captured_walk(monkeypatch, build):
+    """(sample, a, b, breakpoints) of the one _panels walk that build() makes."""
+    walks, panels = [], variation._panels
+
+    def capture(sample, *args):
+        walks.append((sample, *args))
+        return panels(sample, *args)
+
+    monkeypatch.setattr(variation, "_panels", capture)
+    build()
+    monkeypatch.setattr(variation, "_panels", panels)
+    assert len(walks) == 1
+    return walks[0]
+
+
+TAN = ExprCurve("tan(t)", (0.1, 1.4))
+TWO_BUMPS = LinearCombination([(1.0, BumpFn(0.35, 0.15, 1.2)), (-0.7, BumpFn(0.7, 0.2, 0.9))])
+
+# (sample, a, b, breakpoints, floor) of one walk each
+WALKS = {
+    "tan-curve": lambda mp: (lambda ts: lagrangian(TAN.jet(ts)), 0.1, 1.4, (), variation.QUAD_EPS),
+    "two-bump-du-solution": lambda mp: (*captured_walk(mp, lambda: solve_du(TAN, TWO_BUMPS, 0.0)), 0.0),
+    "sin-40t": lambda mp: (ExprVariation("sin(40*t)").value, 0.0, 3.0, (1.0,), variation.QUAD_EPS),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WALKS))
+def test_panels_by_level_arrays_equal_the_depth_first_walk(kind, monkeypatch):
+    sample, a, b, breakpoints, floor = WALKS[kind](monkeypatch)
+    got = variation._panels(sample, a, b, breakpoints, floor)
+    want = depth_first_panels(sample, a, b, breakpoints, floor)
+    assert len(got) == len(want) > len(breakpoints) + 4  # the walk bisected
+    for (lo, hi, antideriv), (lo_want, hi_want, antideriv_want) in zip(got, want):
+        assert (lo, hi) == (lo_want, hi_want)
+        assert antideriv.tobytes() == antideriv_want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(WALKS))
+def test_panels_by_level_arrays_sample_once_per_level(kind, monkeypatch):
+    sample, a, b, breakpoints, floor = WALKS[kind](monkeypatch)
+    nodes = []
+
+    def counted(ts):
+        nodes.append(len(ts))
+        return sample(ts)
+
+    done = variation._panels(counted, a, b, breakpoints, floor)
+    edges = sorted({a, b} | {x for x in breakpoints if a < x < b})
+
+    def level(lo, hi):
+        # the bisections between the panel and the initial panel it lies in
+        i = bisect.bisect_right(edges, lo)
+        return round(math.log2((edges[i] - edges[i - 1]) / (hi - lo)))
+
+    assert len(nodes) == max(level(lo, hi) for lo, hi, _ in done) + 1 > 2
+    # each level on CHEB_N nodes a panel; the walk fitted the initial panels
+    # and both halves of each bisected one, and a bisection adds one panel
+    initial = len(edges) - 1
+    assert nodes[0] == variation.CHEB_N * initial
+    assert sum(nodes) == variation.CHEB_N * (initial + 2 * (len(done) - initial))
+
+
+def test_du_solution_cumulative_arrays_equal_per_panel_chebval(monkeypatch):
+    from numpy.polynomial.chebyshev import chebval
+
+    v = None
+
+    def build():
+        nonlocal v
+        v = solve_du(TAN, TWO_BUMPS, 0.3)
+
+    sample, a, b, breakpoints = captured_walk(monkeypatch, build)
+    # W panel by panel, as a walk over the panels with one chebval each
+    pieces, total = [], np.zeros(2)
+    for lo, hi, antideriv in variation._panels(sample, a, b, breakpoints):
+        pieces.append((lo, hi, float(total[0]), antideriv[:, 0]))
+        total += antideriv.sum(axis=0)
+
+    def w(t):
+        t = min(max(t, a), b)
+        lo, hi, offset, coef = pieces[max(bisect.bisect_right([p[0] for p in pieces], t) - 1, 0)]
+        return offset + chebval((2.0 * t - lo - hi) / (hi - lo), coef)
+
+    ts = np.concatenate([np.random.default_rng(17).uniform(a - 0.05, b + 0.05, 300),
+                         [p[0] for p in pieces], [b]])
+    want = np.array([w(t) for t in ts.tolist()])
+    assert len(pieces) > 10
+    assert v._cumulative(ts).tobytes() == want.tobytes()
+    assert [v._cumulative(t) for t in ts.tolist()] == want.tolist()
+
+
+@pytest.mark.parametrize("k", [1529.5, 1545.5])
+def test_panels_by_level_arrays_keep_the_panel_cap(k):
+    # near the cap of 500 panels: with numpy's dispatched sin kernels,
+    # sin(1529.5 t) takes 501 panels and sin(1545.5 t) 502; whatever the
+    # counts, the level walk refuses exactly where the depth-first walk does
+    sample = ExprVariation(f"sin({k}*t)").value
+    want = depth_first_panels(sample, 0.0, 1.0, ())
+    if want is None:
+        with pytest.raises(QuadratureError, match="not resolved in 500 Chebyshev panels"):
+            variation._panels(sample, 0.0, 1.0, ())
+    else:
+        got = variation._panels(sample, 0.0, 1.0, ())
+        assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+
+
+def test_panels_by_level_arrays_raise_on_an_unresolved_phi():
+    # test_solve_du_unresolved_phi_raises, named for the baseline-kernels CI step
+    with pytest.raises(QuadratureError, match="did not converge: not resolved in 500 Chebyshev panels"):
+        solve_du(ExprCurve("t", (0.0, 1.0)), ExprVariation("sin(3000*t)"), 0.0)
+
+
+def test_panels_by_level_arrays_raise_on_a_non_finite_integrand():
+    # finite left of the breakpoint, nan right of it: the right panel is named
+    def sample(ts):
+        return np.where(ts > 0.5, np.nan, ts)
+
+    with pytest.raises(QuadratureError, match=re.escape("the integrand is not finite on the panel [0.5, 1]")):
+        _quad(sample, 0.0, 1.0, (0.5,))
