@@ -11,8 +11,10 @@ path: at a float, in a series at a float, and in a batch.  numpy gives the
 same bits for a float as for the same float inside an array, so a batch
 equals the float path; the test suite's test_batch_derivs_equal_the_scalar_path
 and test_batch_series_equals_the_scalar_series_at_every_point guard that.  At
-a float a ufunc returns np.float64, a float with the same bits.  An argument
-outside a function's domain raises EvalDomainError before the ufunc runs.
+a float a ufunc's np.float64 is turned into a Python float with the same bits
+(_ufunc), so float-path arithmetic stays on Python floats: faster, and an
+overflow there gives inf with no numpy warning.  An argument outside a
+function's domain raises EvalDomainError before the ufunc runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ def first_where(mask, points):
             return None
         return float(np.broadcast_to(points, mask.shape)[mask.argmax()])
     return points if mask else None
+
+
+def _ufunc(f, x):
+    """The numpy ufunc f at x: an array at an array x, a Python float at a float."""
+    y = f(x)
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
 def _same_point(a, b) -> bool:
@@ -218,7 +226,7 @@ class TaylorScalar:
         n = self.order
         self._refuse(g[0] > EXP_ARG_MAX, "exp overflows the float range")
         h = [0.0] * (n + 1)
-        h[0] = np.exp(g[0])
+        h[0] = _ufunc(np.exp, g[0])
         for m in range(1, n + 1):
             acc = 0.0
             for j in range(1, m + 1):
@@ -231,7 +239,7 @@ class TaylorScalar:
         self._refuse(g[0] <= 0.0, "ln of a non-positive series value")
         n = self.order
         h = [0.0] * (n + 1)
-        h[0] = np.log(g[0])
+        h[0] = _ufunc(np.log, g[0])
         for m in range(1, n + 1):
             acc = g[m]
             for j in range(1, m):
@@ -245,7 +253,7 @@ class TaylorScalar:
         n = self.order
         s = [0.0] * (n + 1)
         c = [0.0] * (n + 1)
-        s[0], c[0] = np.sin(g[0]), np.cos(g[0])
+        s[0], c[0] = _ufunc(np.sin, g[0]), _ufunc(np.cos, g[0])
         for m in range(1, n + 1):
             acc_s = acc_c = 0.0
             for j in range(1, m + 1):
@@ -548,7 +556,7 @@ def _apply_func(name: str, x: Number) -> Number:
         raise EvalDomainError(f"exp of {x} overflows the float range")
     if name == "ln" and x <= 0.0:
         raise EvalDomainError(f"ln of non-positive value {x}")
-    return _UFUNCS[name](x)
+    return _ufunc(_UFUNCS[name], x)
 
 
 def _evaluate(e: Expr, env: Mapping) -> Number:
@@ -575,7 +583,10 @@ def _evaluate(e: Expr, env: Mapping) -> Number:
         base = _evaluate(e.base, env)
         if not isinstance(base, TaylorScalar) and base == 0.0 and e.exponent < 0:
             raise EvalDomainError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:  # a Python float's power raises where a product gives inf
+            raise EvalDomainError(f"{base}^{e.exponent} overflows the float range") from None
     if isinstance(e, Neg):
         return -_evaluate(e.arg, env)
     if isinstance(e, Func):

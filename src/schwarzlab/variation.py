@@ -18,13 +18,19 @@ trailing coefficients of its CHEB_N-point Chebyshev interpolant are
 negligible; the panel's integral is then exact for that interpolant.  The
 walk goes one bisection level at a time, so each level is sampled in one
 call, and DuSolution reads W at any set of nodes in one Clenshaw pass.
+
+A function of t is immutable once built, and each one keeps a memo of its
+last MEMO_SIZE derivs reads, so it computes its jets once per set of points:
+the walks of one pair's forms, functionals and finite difference read the
+same panel nodes, the same two ends and the same regularity grid.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -54,6 +60,9 @@ FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 # wide, and a probe with |delta| > CRITICAL_THRESHOLD is a witness
 CRITICAL_EPS = 0.05
 CRITICAL_THRESHOLD = 1e-4
+
+# derivs reads each function of t keeps, the most recent ones
+MEMO_SIZE = 8
 
 # Chebyshev panels: CHEB_N nodes each; a panel is bisected until its two trailing
 # coefficients are <= CHEB_TAIL * the largest initial coefficient
@@ -139,6 +148,32 @@ def _rows(values, t):
     return out
 
 
+def _memoized(derivs):
+    """derivs with a memo of the last MEMO_SIZE reads of each object, keyed by
+    the bits of t: a float's type and float64 bytes, so -0.0 and 0.0 stay
+    apart, or an array's dtype, shape and bytes.  A repeated read returns the
+    result computed before, its array made read-only so that a caller who
+    writes into it fails; a read that raises is not stored."""
+    @wraps(derivs)
+    def read(self, t):
+        if isinstance(t, np.ndarray):
+            key = (t.dtype, t.shape, t.tobytes())
+        else:
+            key = (type(t), struct.pack("d", t))
+        memo = vars(self).setdefault("_memo", {})
+        # popped and put back, so the dict's order runs from least to most recent
+        out = memo.pop(key, None)
+        if out is None:
+            out = derivs(self, t)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            if len(memo) == MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[key] = out
+        return out
+    return read
+
+
 def _regularity_grid(t0: float, t1: float):
     """The CURVE_GRID equally spaced points of [t0, t1] that the regularity check reads."""
     return t0 + (t1 - t0) * np.arange(CURVE_GRID) / (CURVE_GRID - 1)
@@ -174,14 +209,19 @@ def _refuse_irregular(name: str, ts, us, ps) -> None:
 
 class VariationFn:
     """Base class of every function of t here.  derivs(t) is the one method
-    a subclass provides; value and var_jet read it."""
+    a subclass provides; value and var_jet read it.
+
+    A function of t is immutable once built: each subclass's derivs is
+    _memoized, so it keeps its last MEMO_SIZE reads and computes the jets at
+    a set of points once however often they are read."""
 
     breakpoints: tuple = ()
 
     def derivs(self, t):
         """(v, v', v'', v''') at t.  At a float t, four floats; at a 1-D float
         array t, an array of shape (4, len(t)) whose column k == derivs(t[k]),
-        so a panel of nodes is read in one call."""
+        so a panel of nodes is read in one call.  A repeated read returns the
+        result of the first, whose array is read-only."""
         raise NotImplementedError
 
     def value(self, t):
@@ -206,11 +246,16 @@ class ExprVariation(VariationFn):
             raise ValueError(f"expression may only reference t, found {sorted(extra)}")
         self.text = str(self.expr)
 
+    # an overflow or an invalid value leaves a non-finite entry, which the
+    # curve check or the panel walk refuses
+    @_memoized
+    @np.errstate(over="ignore", invalid="ignore")
     def derivs(self, t):
         # at an array, one batch of series based at every node
         s = taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 3)})
         return _rows((s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3)), t)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def fourth(self, t):
         return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
 
@@ -247,6 +292,7 @@ class BumpFn(VariationFn):
         inside = s > 1e-12
         return self.amplitude * np.exp(-1.0 / np.where(inside, s, 1.0)) * inside
 
+    @_memoized
     def derivs(self, t):
         x0 = self._x(t)
         inside = 1.0 - x0 * x0 > 1e-12
@@ -276,6 +322,7 @@ class LinearCombination(VariationFn):
             bps.extend(v.breakpoints)
         self.breakpoints = tuple(bps)
 
+    @_memoized
     def derivs(self, t):
         # whole arrays, (4,) or (4, len(t)): row by row costs 4x the time
         out = np.zeros((4,) + np.shape(t))
@@ -326,6 +373,7 @@ class MobiusCurve(CurveFn):
             raise SingularTimeError(f"curve {self.describe()} has a pole in its domain at t = {poles[0]}")
         self._check_regular()
 
+    @_memoized
     def derivs(self, t):
         return _rows(family_derivs(self.family, t), t)
 
@@ -356,6 +404,7 @@ class TrajectoryCurve(CurveFn):
         self._set_domain(sorted((traj.t_start, traj.t_final)))
         self._check_regular()
 
+    @_memoized
     def derivs(self, t):
         return _rows(self.traj.jet_at(t).as_tuple()[1:], t)
 
@@ -418,6 +467,7 @@ class DuSolution(VariationFn):
         a, b = self._lefts[piece], self._rights[piece]
         return self._offsets[piece] + chebval((2.0 * ts - a - b) / (b - a), self._coefs[:, piece], tensor=False)
 
+    @_memoized
     def derivs(self, t):
         _, p, q, r = self.u.derivs(t)
         f0, f1, f2, _ = self.phi.derivs(t)
@@ -493,6 +543,7 @@ class AdmissibleVariation(VariationFn):
         d = (t - self.join) * on
         return (self.c * d * d, 2.0 * self.c * d, 2.0 * self.c * on, 0.0)
 
+    @_memoized
     def derivs(self, t):
         return _rows([x + y for x, y in zip(self.base.derivs(t), self._glue(t))], t)
 

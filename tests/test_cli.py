@@ -223,6 +223,42 @@ def test_family_jet_that_overflows_is_one_error_line(extra, capsys):
     assert err == f"error: the family member leaves the float range at t = {t}\n"
 
 
+W_OVERFLOWS = "W0 or W1 overflows or is not finite at the jet [0.5, 0.0, 1.0, 3.0, 5.0]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a ufunc at a float gives a Python float, which overflows to inf silently
+    pytest.param(["invariants", "--F", "exp(t)*1e308*r", "--jet", "0.5,0,1,3,5"], W_OVERFLOWS, id="invariants-exp"),
+    pytest.param(["invariants", "--F", "sin(p)*1e308*r*r", "--jet", "0.5,0,1,3,5"], W_OVERFLOWS, id="invariants-sin"),
+    pytest.param(["invariants", "--F", "exp(u)*1e300*q*q", "--jet", "0.5,0,1,3,5"], W_OVERFLOWS,
+                 id="invariants-exp-of-u"),
+    # an expression's batch reads run with numpy's overflow and invalid warnings off
+    pytest.param(["variation", "--u", "t + 1e-300*sin(1e300*t)", "--interval", "0,1", "--n", "1"],
+                 "quadrature over [0, 1]: the integrand is not finite on the panel [0.444209, 0.783841] (abserr nan)",
+                 id="variation-sin-of-a-huge-argument"),
+    pytest.param(["variation", "--u", "t + exp(700*t)*1e-300", "--interval", "0,1", "--n", "1"],
+                 "quadrature over [0, 0.05]: the integrand is not finite on the panel [0, 0.05] (abserr nan)",
+                 id="variation-exp-derivatives-overflow"),
+    pytest.param(["variation", "--u", "t + 1e200*t^2*1e200", "--interval", "0,1", "--n", "1"],
+                 "curve expr:t + 1e+200*t^2*1e+200 is not finite at t = 0.01", id="variation-curve-overflows"),
+    # a Python float's power raises OverflowError, which is refused by name
+    pytest.param(["linearize", "--F", "exp(700*p)^2*r", "--base", "line", "--t", "0"],
+                 "1.0142320547350045e+304^2 overflows the float range", id="linearize-power-of-exp-overflows"),
+    pytest.param(["linearize", "--F", "(1e200*p)^2*r", "--base", "line", "--t", "0"],
+                 "1e+200^2 overflows the float range", id="linearize-power-overflows"),
+    pytest.param(["invariants", "--F", "(1e200)^2*r", "--jet", "0,0,1,0,0"],
+                 "1e+200^2 overflows the float range", id="invariants-constant-power-overflows"),
+])
+def test_float_overflow_is_one_error_line(argv, message, capsys):
+    # numpy warnings are errors here, so the one line on stderr also shows
+    # that no warning came before it
+    with within_5_s():
+        code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_linearize_table(capsys):
     code, out, _ = run(["linearize", "--field", "EL", "--base", "exp", "--t", "0.3"], capsys)
     assert code == 0

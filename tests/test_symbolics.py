@@ -14,6 +14,7 @@ from schwarzlab.errors import EvalDomainError, ParseError, SeriesMismatchError
 from schwarzlab.schwarzian import EL_FIELD_TEXT, Jet4
 from schwarzlab.symbolics import (
     EXP_ARG_MAX,
+    FUNCTIONS,
     Add,
     Const,
     Div,
@@ -228,6 +229,8 @@ def test_eval_domain_errors():
         eval_scalar(parse("sin(u)"), {"u": math.inf})
     with pytest.raises(EvalDomainError, match="exp of inf overflows the float range"):
         eval_scalar(parse("exp(u)"), {"u": math.inf})
+    with pytest.raises(EvalDomainError, match=re.escape("1e+200^2 overflows the float range")):
+        eval_scalar(parse("u^2"), {"u": 1e200})
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,17 @@ def test_eval_scalar_equals_the_series_value(name, lo, hi):
     e = parse(f"{name}(t)")
     for t in np.random.default_rng(3).uniform(lo, hi, 2000).tolist():
         assert eval_scalar(e, {"t": t}) == taylor_eval(e, {"t": TaylorScalar.variable(t, 3)}).coeffs[0]
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_float_path_series_coefficients_are_floats_scalar_path(name):
+    # numpy's np.float64 would be slower and would warn on overflow
+    e = parse(f"{name}(t)")
+    for order in (0, 3):
+        s = taylor_eval(e, {"t": TaylorScalar.variable(0.7, order)})
+        assert [type(c) for c in s.coeffs] == [float] * (order + 1)
+    # numpy warnings are errors here: a Python float overflows to inf silently
+    assert abs(eval_scalar(parse(f"{name}(t)*1e308*1e308"), {"t": 0.7})) == math.inf
 
 
 def test_exp_at_EXP_ARG_MAX_is_finite_and_refused_past_it():

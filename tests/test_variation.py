@@ -13,7 +13,8 @@ from conftest import random_mobius_curve, random_polynomial_variation
 from schwarzlab import variation
 from schwarzlab.closed_form import MobiusFamily, family_eval_jet
 from schwarzlab.el_ode import integrate
-from schwarzlab.errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
+from schwarzlab.errors import (EvalDomainError, InfeasibleVariationError, QuadratureError, SingularJetError,
+                               SingularTimeError)
 from schwarzlab.schwarzian import Jet4, boundary_B, lagrangian, schwarzian
 from schwarzlab.variation import (
     FORMS,
@@ -650,6 +651,97 @@ def test_mobius_batch_derivs_raise_over_a_pole_as_jet_does(family, pole):
         u.jet(pole)
     with pytest.raises(SingularTimeError, match=re.escape(f"t = {pole!r}")):
         u.derivs(np.array([0.1, 0.3, pole, pole + 0.2]))
+
+
+# ---------------------------------------------------------------------------
+# the memo of derivs reads: each function of t keeps its last MEMO_SIZE reads
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS_OF_T))
+def test_memoized_reads_equal_the_unmemoized_read_arrays_and_scalar_path(kind):
+    # bit for bit, so -0.0 read right after 0.0 and an int array read after
+    # the float array of the same values each get their own result
+    fn = FUNCTIONS_OF_T[kind]()
+    unmemoized = type(fn).derivs.__wrapped__
+    for t in (0.37, 0.0, -0.0, 0.37, -0.0):
+        got = fn.derivs(t)
+        assert type(got) is tuple and bits(got) == bits(unmemoized(fn, t))
+    for ts in (np.array([0.0, 0.25, 1.0]), np.array([0.0, 1.0]), np.array([0, 1]), np.array([-0.0, 1.0]),
+               np.array([0.0, 1.0])):
+        got = fn.derivs(ts)
+        want = unmemoized(fn, ts)
+        assert got.shape == want.shape and bits(got) == bits(want)
+
+
+def test_memo_keeps_minus_zero_apart_scalar_path():
+    v = ExprVariation("t")
+    assert math.copysign(1.0, v.derivs(0.0)[0]) == 1.0
+    assert math.copysign(1.0, v.derivs(-0.0)[0]) == -1.0
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS_OF_T))
+def test_memoized_arrays_are_read_only(kind):
+    fn = FUNCTIONS_OF_T[kind]()
+    ts = np.linspace(0.1, 0.9, 7)
+    got = fn.derivs(ts)
+    assert fn.derivs(ts.copy()) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONS_OF_T))
+def test_memo_arrays_keep_the_last_MEMO_SIZE_reads(kind):
+    fn = FUNCTIONS_OF_T[kind]()
+    nodes = [np.linspace(0.1, 0.8, 5) + 0.01 * k for k in range(variation.MEMO_SIZE + 1)]
+    reads = [fn.derivs(ts) for ts in nodes]
+    # the first of MEMO_SIZE + 1 distinct reads is computed again, and that
+    # read puts out the least recent of the others
+    again = fn.derivs(nodes[0])
+    assert again is not reads[0] and bits(again) == bits(reads[0])
+    assert fn.derivs(nodes[2]) is reads[2]
+    assert fn.derivs(nodes[1]) is not reads[1]
+
+
+@pytest.mark.parametrize("make, t, error", [
+    (lambda: ExprVariation("ln(t - 0.5)"), 0.2, EvalDomainError),
+    (lambda: ExprVariation("ln(t - 0.5)"), np.array([0.9, 0.2]), EvalDomainError),
+    (lambda: MobiusCurve(MobiusFamily(1.0, 0.0, 1.0, -0.5, 0.0), (0.0, 0.4)), 0.5, SingularTimeError),
+    (lambda: MobiusCurve(MobiusFamily(1.0, 0.0, 1.0, -0.5, 0.0), (0.0, 0.4)), np.array([0.1, 0.5]),
+     SingularTimeError),
+    (CURVES_OF_T["trajectory"], 1.5, ValueError),
+    (CURVES_OF_T["trajectory"], np.array([0.5, 1.5]), ValueError),
+], ids=["expr", "expr-arrays", "mobius", "mobius-arrays", "trajectory", "trajectory-arrays"])
+def test_memo_arrays_and_scalar_path_store_no_read_that_raises(make, t, error):
+    fn = make()
+    for _ in range(2):
+        with pytest.raises(error):
+            fn.derivs(t)
+
+
+def test_six_forms_calls_read_v_at_most_4_times_on_shared_arrays(monkeypatch):
+    # the three forms, delta_fd and both functionals walk the same panels of
+    # [t0, t1]: v is read on them, at both ends and on the regularity grid,
+    # and u, which read that grid when it was built, on the rest
+    u = MobiusCurve(MobiusFamily(1.0, 0.3, 0.2, 1.0, 1.5), (0.0, 1.0))
+    v = ExprVariation("0.2 + 0.5*t - 0.3*t^2 + 0.1*t^3 + 0.7*sin(t)")
+    calls = {"taylor_eval": 0, "family_derivs": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(variation, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(variation, name, counted)
+    for form in ("direct", "by_parts", "du_factored"):
+        delta_form(form, u, v, 0.0, 1.0)
+    delta_fd("I_L", u, v)
+    functional_IS(u, 0.0, 1.0)
+    functional_IL(u, 0.0, 1.0)
+    assert calls["taylor_eval"] <= 4
+    assert calls["family_derivs"] <= 3
 
 
 # ---------------------------------------------------------------------------
