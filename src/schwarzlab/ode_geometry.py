@@ -6,22 +6,24 @@ Total derivatives of the partials F_p, F_q, F_r along the prolonged flow are
 read off Taylor series of the formal solution through the jet, so the
 invariants are exact to machine precision (no finite differences).  The k-th
 total derivative of G is k! times coefficient k of G composed with the flow
-series.  One flow series per jet serves both invariants: it is built once,
-F_r, F_q and F_p are each evaluated on it once, and W0 and W1 are read off
-the same coefficients.
+series.  An OdeField compiles F, F_r, F_q and F_p into Taylor programs once,
+when it is built.  One flow series per jet serves both invariants: F's
+program fills it in one relaxed sweep, the programs of F_r, F_q and F_p run
+on it through the coefficients W reads (3, 2 and 0), and W0 and W1 are read
+off the same coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .closed_form import MobiusFamily, family_eval_jet
 from .el_ode import Trajectory
 from .errors import EvalDomainError
 from .schwarzian import EL_FIELD_TEXT, Jet4, schwarzian
-from .symbolics import Expr, differentiate, eval_scalar, formal_solution, parse, taylor_eval, variables_of
+from .symbolics import FLOW_INPUTS, Expr, TaylorProgram, differentiate, eval_scalar, flow_sweep, parse, variables_of
 from .variation import ExprVariation
 
 # The highest total derivative read is d3F_r, coefficient 3 of F_r.  F_r
@@ -34,12 +36,18 @@ TAYLOR_ORDER = 6
 @dataclass(frozen=True)
 class OdeField:
     """A fourth-order right-hand side with its precomputed symbolic partials
-    with respect to p, q, r."""
+    with respect to p, q, r, and F, F_r, F_q and F_p compiled once into
+    Taylor programs."""
 
     F: Expr
     Fp: Expr
     Fq: Expr
     Fr: Expr
+    programs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        programs = tuple(TaylorProgram(e, FLOW_INPUTS) for e in (self.F, self.Fr, self.Fq, self.Fp))
+        object.__setattr__(self, "programs", programs)
 
     @classmethod
     def from_expression(cls, source: Union[str, Expr]) -> "OdeField":
@@ -55,16 +63,22 @@ def el_field() -> OdeField:
     return OdeField.from_expression(EL_FIELD_TEXT)
 
 
+def _derivatives(coeffs) -> list:
+    """The derivatives k! * coeffs[k] of a series."""
+    return [math.factorial(k) * c for k, c in enumerate(coeffs)]
+
+
 def _wuenschmann(field: OdeField, j: Jet4) -> tuple:
     """(W0, W1) at j, the formulas of w0 and w1, from one flow series through
     j: the k-th total derivative of G is k! times coefficient k of G
-    evaluated on it.  Raises EvalDomainError, naming j, when either
-    overflows or is not finite."""
-    env = formal_solution(field.F, j, TAYLOR_ORDER)
-    series_r, series_q = taylor_eval(field.Fr, env), taylor_eval(field.Fq, env)
-    fr, dfr, d2fr, d3fr = (series_r.derivative(k) for k in range(4))
-    fq, dfq, d2fq = (series_q.derivative(k) for k in range(3))
-    fp = taylor_eval(field.Fp, env).derivative(0)
+    evaluated on it, and W reads F_r through coefficient 3, F_q through 2
+    and F_p at 0.  Raises EvalDomainError, naming j, when either overflows
+    or is not finite."""
+    F, Fr, Fq, Fp = field.programs
+    t0, flow = flow_sweep(F, j, TAYLOR_ORDER)
+    fr, dfr, d2fr, d3fr = _derivatives(Fr.run(t0, flow, 3))
+    fq, dfq, d2fq = _derivatives(Fq.run(t0, flow, 2))
+    (fp,) = _derivatives(Fp.run(t0, flow, 0))
     try:
         W0 = (
             (11.0 / 1600.0) * fr ** 4

@@ -1,10 +1,17 @@
 """Expression trees, symbolic differentiation, and truncated Taylor arithmetic.
 
 This is the computational substrate for the rest of the package.  The same
-five-variable expression trees (over t, u, p, q, r) are evaluated in two
-modes: plain floats, and truncated power series.  Series evaluation along a
-formal ODE solution is how every total derivative in the package is computed,
-so there is no finite-difference noise anywhere in the invariant formulas.
+five-variable expression trees (over t, u, p, q, r) are evaluated at floats
+by a walk of the tree, and on truncated power series by a TaylorProgram: the
+tree compiled once into straight-line steps over series slots, run one
+coefficient at a time on floats or on equal-length arrays (a batch).  The
+program's steps and TaylorScalar's operators call the same kernel for each
+recurrence (product, quotient, exp, ln, sin/cos), and a constant's
+coefficients past 0 are known to be 0, so a product with it is one term a
+coefficient.  formal_solution fills the series of the formal solution of
+u'''' = F in one relaxed sweep of F's program.  Series evaluation along that
+solution is how every total derivative in the package is computed, so there
+is no finite-difference noise anywhere in the invariant formulas.
 
 numpy's ufuncs evaluate exp, ln, sin and cos, and tan as sin/cos, on every
 path: at a float, in a series at a float, and in a batch.  numpy gives the
@@ -40,7 +47,7 @@ EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
-# Truncated Taylor series
+# Truncated Taylor series: one kernel per recurrence
 # ---------------------------------------------------------------------------
 
 def first_where(mask, points):
@@ -53,9 +60,13 @@ def first_where(mask, points):
     return points if mask else None
 
 
-def _ufunc(f, x):
-    """The numpy ufunc f at x: an array at an array x, a Python float at a float."""
-    y = f(x)
+# tan is sin/cos, the series' own formula, so a float equals coefficient 0
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": lambda x: np.sin(x) / np.cos(x), "exp": np.exp, "ln": np.log}
+
+
+def _ufunc(name: str, x):
+    """The numpy ufunc called name at x: an array at an array x, a Python float at a float."""
+    y = _UFUNCS[name](x)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
@@ -65,14 +76,101 @@ def _same_point(a, b) -> bool:
     return a == b
 
 
+def _refuse(mask, message: str, points) -> None:
+    """Raise EvalDomainError with message at the first point where mask holds."""
+    t = first_where(mask, points)
+    if t is not None:
+        raise EvalDomainError(f"{message} at t = {t}")
+
+
+def _all_zero(x) -> bool:
+    """Whether a coefficient is 0 at every point.  x == 0.0 is a bool for a
+    float and an array for a batch."""
+    zero = x == 0.0
+    return zero is True or (zero is not False and zero.all())
+
+
+# The kernels give coefficient k of a result from coefficients 0..k of its
+# operands and 0..k-1 of itself, so a series can be filled one coefficient
+# at a time.  Coefficient 0 holds each function's refusals and its ufunc.
+# Sums run left to right in a plain loop, as builtin sum() on floats
+# compensates its rounding from Python 3.12 on and on arrays does not; a
+# sum from +0.0 is never -0, so a term that is +-0, such as a product with a
+# coefficient that is 0, changes none of its finite values when left out.
+
+def _mul_k(a, b, k: int, nonzero, lo: int):
+    """Coefficient k of a*b: a[i]*b[k-i] summed over i = lo..k where
+    nonzero[i] holds.  nonzero leaves out the a[i] that are 0 at every
+    point, and lo the b[k-i] known to be 0."""
+    acc = 0.0
+    for i in range(lo, k + 1):
+        if nonzero[i]:
+            acc += a[i] * b[k - i]
+    return acc
+
+
+def _div_k(a, b, h, k: int, points):
+    """Coefficient k of a/b, given h, its coefficients 0..k-1."""
+    if k == 0:
+        _refuse(b[0] == 0.0, "series division by a series with zero constant term", points)
+    # acc = acc - ..., not -=, which would write into an array coefficient
+    acc = a[k]
+    for j in range(k):
+        acc = acc - h[j] * b[k - j]
+    return acc / b[0]
+
+
+def _exp_k(g, h, k: int, top, points):
+    """Coefficient k of exp(g), given h, its coefficients 0..k-1; g[j] is
+    known to be 0 for j > top."""
+    if k == 0:
+        _refuse(g[0] > EXP_ARG_MAX, "exp overflows the float range", points)
+        return _ufunc("exp", g[0])
+    acc = 0.0
+    for j in range(1, min(k, top) + 1):
+        acc += j * g[j] * h[k - j]
+    return acc / k
+
+
+def _ln_k(g, h, k: int, points):
+    """Coefficient k of ln(g), given h, its coefficients 0..k-1."""
+    if k == 0:
+        _refuse(g[0] <= 0.0, "ln of a non-positive series value", points)
+        return _ufunc("ln", g[0])
+    acc = g[k]
+    for j in range(1, k):
+        acc = acc - (j / k) * h[j] * g[k - j]
+    return acc / g[0]
+
+
+def _sin_cos_k(g, s, c, k: int, top, points) -> tuple:
+    """Coefficients k of sin(g) and cos(g), given s and c, their
+    coefficients 0..k-1; g[j] is known to be 0 for j > top."""
+    if k == 0:
+        _refuse(abs(g[0]) == math.inf, "sin, cos or tan of an infinite series value", points)
+        return _ufunc("sin", g[0]), _ufunc("cos", g[0])
+    acc_s = acc_c = 0.0
+    for j in range(1, min(k, top) + 1):
+        acc_s += j * g[j] * c[k - j]
+        acc_c += j * g[j] * s[k - j]
+    return acc_s / k, -acc_c / k
+
+
+def _refuse_tan_pole(cos0, points) -> None:
+    """tan(g) is sin(g)/cos(g); refuse it where |cos(g)| is below TAN_POLE_TOL."""
+    _refuse(abs(cos0) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}", points)
+
+
 @dataclass(frozen=True, eq=False)
 class TaylorScalar:
     """Truncated power series about ``base_point``.
 
     ``coeffs[k]`` holds (1/k!) * (k-th derivative at the base point), so a
     series represents sum_k coeffs[k] * (t - base_point)**k up to the stored
-    order.  Instances are immutable; every operation returns a new series.
-    Arithmetic between two series requires equal base point and order.
+    order.  Instances are immutable; every operation returns a new series,
+    computed by the kernels that TaylorProgram runs.  Arithmetic between two
+    series requires equal base point and order; a float is the constant
+    series (x, 0, 0, ...).
 
     A batch of series, one per point of an array of base points, has that
     array as its base point and coefficients that are floats or arrays of
@@ -117,15 +215,11 @@ class TaylorScalar:
         c = self.coeffs
         return TaylorScalar(self.base_point, tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)))
 
-    def _refuse(self, mask, message: str) -> None:
-        """Raise EvalDomainError with message at the first point where mask holds."""
-        t = first_where(mask, self.base_point)
-        if t is not None:
-            raise EvalDomainError(f"{message} at t = {t}")
-
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, other) -> "TaylorScalar":
+    def _operand(self, other):
+        """(coefficients, top) of the other operand, where its coefficients
+        past top are known to be 0, or None if it is not a number."""
         if isinstance(other, TaylorScalar):
             base = other.base_point
             if (base is not self.base_point and not _same_point(base, self.base_point)
@@ -134,76 +228,64 @@ class TaylorScalar:
                     f"series mismatch: base {self.base_point}/{other.base_point}, "
                     f"order {self.order}/{other.order}"
                 )
-            return other
+            return other.coeffs, math.inf
         if isinstance(other, Real):
-            return TaylorScalar.constant(float(other), self.base_point, self.order)
-        return NotImplemented
+            return (float(other),) + (0.0,) * self.order, 0
+        return None
+
+    def _new(self, coeffs) -> "TaylorScalar":
+        return TaylorScalar(self.base_point, tuple(coeffs))
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return TaylorScalar(self.base_point, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._new(a + b for a, b in zip(self.coeffs, o[0]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return TaylorScalar(self.base_point, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._new(a - b for a, b in zip(self.coeffs, o[0]))
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return o - self
+        return self._new(b - a for a, b in zip(self.coeffs, o[0]))
 
     def __neg__(self):
-        return TaylorScalar(self.base_point, tuple(-a for a in self.coeffs))
+        return self._new(-a for a in self.coeffs)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        b = o.coeffs
-        n = len(b) - 1
-        out = [0.0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            # zero is a bool for a float and an array for a batch, which skips
-            # a coefficient only where it is 0 at every point; where it is 0
-            # at some, its terms add +-0 to a sum that is never -0, which for
-            # finite b changes nothing, as skipping does
-            zero = a == 0.0
-            if zero is True or (zero is not False and zero.all()):
-                continue
-            for j in range(n - i + 1):
-                out[i + j] += a * b[j]
-        return TaylorScalar(self.base_point, tuple(out))
+        (b, top), a = o, self.coeffs
+        nonzero = [not _all_zero(x) for x in a]
+        return self._new(_mul_k(a, b, k, nonzero, max(0, k - top)) for k in range(len(a)))
 
     __rmul__ = __mul__
 
+    def _quotient(self, a, b) -> "TaylorScalar":
+        h = []
+        for k in range(len(a)):
+            h.append(_div_k(a, b, h, k, self.base_point))
+        return self._new(h)
+
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        b = o.coeffs
-        self._refuse(b[0] == 0.0, "series division by a series with zero constant term")
-        n = self.order
-        h = [0.0] * (n + 1)
-        for k in range(n + 1):
-            # acc = acc - ..., not -=, which would write into an array coefficient
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc = acc - h[j] * b[k - j]
-            h[k] = acc / b[0]
-        return TaylorScalar(self.base_point, tuple(h))
+        return self._quotient(self.coeffs, o[0])
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return self._quotient(o[0], self.coeffs)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -211,58 +293,33 @@ class TaylorScalar:
         if n == 0:
             return TaylorScalar.constant(1.0, self.base_point, self.order)
         if n < 0:
-            return (TaylorScalar.constant(1.0, self.base_point, self.order) / self) ** (-n)
+            return (1.0 / self) ** (-n)
         out = self
         for _ in range(n - 1):
             out = out * self
         return out
 
     # -- elementary functions (standard power-series recurrences) ----------
-    # Sums run left to right in a plain loop, as builtin sum() on floats
-    # compensates its rounding from Python 3.12 on and on arrays does not.
 
     def exp(self) -> "TaylorScalar":
-        g = self.coeffs
-        n = self.order
-        self._refuse(g[0] > EXP_ARG_MAX, "exp overflows the float range")
-        h = [0.0] * (n + 1)
-        h[0] = _ufunc(np.exp, g[0])
-        for m in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, m + 1):
-                acc += j * g[j] * h[m - j]
-            h[m] = acc / m
-        return TaylorScalar(self.base_point, tuple(h))
+        h = []
+        for k in range(len(self.coeffs)):
+            h.append(_exp_k(self.coeffs, h, k, math.inf, self.base_point))
+        return self._new(h)
 
     def ln(self) -> "TaylorScalar":
-        g = self.coeffs
-        self._refuse(g[0] <= 0.0, "ln of a non-positive series value")
-        n = self.order
-        h = [0.0] * (n + 1)
-        h[0] = _ufunc(np.log, g[0])
-        for m in range(1, n + 1):
-            acc = g[m]
-            for j in range(1, m):
-                acc = acc - (j / m) * h[j] * g[m - j]
-            h[m] = acc / g[0]
-        return TaylorScalar(self.base_point, tuple(h))
+        h = []
+        for k in range(len(self.coeffs)):
+            h.append(_ln_k(self.coeffs, h, k, self.base_point))
+        return self._new(h)
 
     def _sin_cos(self):
-        g = self.coeffs
-        self._refuse(abs(g[0]) == math.inf, "sin, cos or tan of an infinite series value")
-        n = self.order
-        s = [0.0] * (n + 1)
-        c = [0.0] * (n + 1)
-        s[0], c[0] = _ufunc(np.sin, g[0]), _ufunc(np.cos, g[0])
-        for m in range(1, n + 1):
-            acc_s = acc_c = 0.0
-            for j in range(1, m + 1):
-                acc_s += j * g[j] * c[m - j]
-                acc_c += j * g[j] * s[m - j]
-            s[m] = acc_s / m
-            c[m] = -acc_c / m
-        base = self.base_point
-        return TaylorScalar(base, tuple(s)), TaylorScalar(base, tuple(c))
+        s, c = [], []
+        for k in range(len(self.coeffs)):
+            s_k, c_k = _sin_cos_k(self.coeffs, s, c, k, math.inf, self.base_point)
+            s.append(s_k)
+            c.append(c_k)
+        return self._new(s), self._new(c)
 
     def sin(self) -> "TaylorScalar":
         return self._sin_cos()[0]
@@ -272,11 +329,8 @@ class TaylorScalar:
 
     def tan(self) -> "TaylorScalar":
         s, c = self._sin_cos()
-        self._refuse(abs(c.coeffs[0]) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}")
+        _refuse_tan_pole(c.coeffs[0], self.base_point)
         return s / c
-
-
-Number = Union[float, TaylorScalar]
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +590,10 @@ def _parse_base(toks: _Tokens) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (shared by floats and Taylor series)
+# Evaluation at a point: the tree walk on floats
 # ---------------------------------------------------------------------------
 
-# tan is sin/cos, the series' own formula, so a float equals coefficient 0
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": lambda x: np.sin(x) / np.cos(x), "exp": np.exp, "ln": np.log}
-
-
-def _apply_func(name: str, x: Number) -> Number:
-    if isinstance(x, TaylorScalar):
-        return getattr(x, name)()
+def _apply_func(name: str, x: float) -> float:
     if name not in _UFUNCS:
         raise ValueError(f"unknown function {name!r}")
     if name in ("sin", "cos", "tan") and abs(x) == math.inf:
@@ -556,10 +604,10 @@ def _apply_func(name: str, x: Number) -> Number:
         raise EvalDomainError(f"exp of {x} overflows the float range")
     if name == "ln" and x <= 0.0:
         raise EvalDomainError(f"ln of non-positive value {x}")
-    return _ufunc(_UFUNCS[name], x)
+    return _ufunc(name, x)
 
 
-def _evaluate(e: Expr, env: Mapping) -> Number:
+def _evaluate(e: Expr, env: Mapping) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -576,12 +624,12 @@ def _evaluate(e: Expr, env: Mapping) -> Number:
     if isinstance(e, Div):
         num = _evaluate(e.left, env)
         den = _evaluate(e.right, env)
-        if not isinstance(den, TaylorScalar) and den == 0.0:
+        if den == 0.0:
             raise EvalDomainError("division by zero")
         return num / den
     if isinstance(e, Pow):
         base = _evaluate(e.base, env)
-        if not isinstance(base, TaylorScalar) and base == 0.0 and e.exponent < 0:
+        if base == 0.0 and e.exponent < 0:
             raise EvalDomainError("zero raised to a negative power")
         try:
             return base ** e.exponent
@@ -602,12 +650,243 @@ def eval_scalar(e: Expr, env) -> float:
     return float(_evaluate(e, env))
 
 
-def taylor_eval(e: Expr, env: Mapping) -> TaylorScalar:
+# ---------------------------------------------------------------------------
+# Evaluation on series: an Expr compiled into a Taylor program
+# ---------------------------------------------------------------------------
+
+# The steps of a program.  Each computes coefficient k of its slot in the
+# slot table v, at the points a run is based at (for refusals).
+
+def _add_step(out: int, a: int, b: int):
+    def step(v, k, points):
+        v[out].append(v[a][k] + v[b][k])
+    return step
+
+
+def _sub_step(out: int, a: int, b: int):
+    def step(v, k, points):
+        v[out].append(v[a][k] - v[b][k])
+    return step
+
+
+def _neg_step(out: int, a: int):
+    def step(v, k, points):
+        v[out].append(-v[a][k])
+    return step
+
+
+def _mul_step(out: int, a: int, b: int, flags: int, top_a, top_b):
+    # flags: the slot of _mul_k's nonzero, one entry per coefficient of a
+    def step(v, k, points):
+        x, nonzero = v[a], v[flags]
+        nonzero.append(k <= top_a and not _all_zero(x[k]))
+        v[out].append(_mul_k(x, v[b], k, nonzero, k - top_b if k > top_b else 0))
+    return step
+
+
+def _div_step(out: int, a: int, b: int):
+    def step(v, k, points):
+        h = v[out]
+        h.append(_div_k(v[a], v[b], h, k, points))
+    return step
+
+
+def _exp_step(out: int, g: int, top):
+    def step(v, k, points):
+        h = v[out]
+        h.append(_exp_k(v[g], h, k, top, points))
+    return step
+
+
+def _ln_step(out: int, g: int):
+    def step(v, k, points):
+        h = v[out]
+        h.append(_ln_k(v[g], h, k, points))
+    return step
+
+
+def _sin_cos_step(s_out: int, c_out: int, g: int, top):
+    def step(v, k, points):
+        s, c = v[s_out], v[c_out]
+        s_k, c_k = _sin_cos_k(v[g], s, c, k, top, points)
+        s.append(s_k)
+        c.append(c_k)
+    return step
+
+
+def _tan_pole_step(c: int):
+    def step(v, k, points):
+        if k == 0:
+            _refuse_tan_pole(v[c][0], points)
+    return step
+
+
+def _fail_step(message: str):
+    # every run starts at coefficient 0
+    def step(v, k, points):
+        raise EvalDomainError(message)
+    return step
+
+
+class TaylorProgram:
+    """An Expr compiled once into straight-line code over series slots, and
+    run one coefficient at a time (Taylor propagation; Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., ch. 13).
+
+    inputs maps the name of each variable bound to a series when the
+    program runs to the index past which that series is known to be 0:
+    math.inf for any series, and 1 for t's own, (t, 1, 0, ...).  Each slot
+    holds the coefficients of one subexpression, as a list that its
+    step grows by one coefficient; equal subexpressions share a slot.  A
+    subexpression that reads no variable is a float, evaluated once here as
+    eval_scalar would.  Beside a series it is a constant series, known to be
+    0 past coefficient 0, so a product with it costs one term, 0.0 + a[k]*c,
+    a coefficient; a product with t costs two.  Each step runs the kernel that
+    TaylorScalar's operator runs, with the same operations for each
+    coefficient, so a program's finite values are those of TaylorScalar
+    arithmetic, bit for bit.  Every refusal reads coefficient 0, so a run
+    raises the first error that evaluating the tree node by node would meet.
+    """
+
+    def __init__(self, expr: Expr, inputs: Mapping):
+        self.inputs = dict(inputs)
+        # per slot, the index past which its coefficients are known to be 0
+        self._tops = []
+        self._steps = []
+        self._constants = []
+        self._bound = {}
+        self._numbers = {}
+        self.out = self._series(self._compile(expr))
+
+    def _slot(self, top) -> int:
+        self._tops.append(top)
+        return len(self._tops) - 1
+
+    def _numbered(self, key, make, top) -> int:
+        """The slot of the step make(out), made once per key."""
+        if key not in self._numbers:
+            out = self._slot(top)
+            self._steps.append(make(out))
+            self._numbers[key] = out
+        return self._numbers[key]
+
+    def _constant(self, value: float) -> int:
+        key = ("const", value.hex())
+        if key not in self._numbers:
+            self._numbers[key] = self._slot(0)
+            self._constants.append((self._numbers[key], value))
+        return self._numbers[key]
+
+    def _series(self, x) -> int:
+        return self._constant(x) if isinstance(x, float) else x
+
+    def _fail(self, message: str) -> None:
+        self._steps.append(_fail_step(message))
+
+    def _compile(self, e: Expr):
+        """The slot of e's series, or e's value where e reads no variable."""
+        if not variables_of(e):
+            try:
+                return float(_evaluate(e, {}))
+            except EvalDomainError as err:
+                # raised where the walk meets it, after what precedes e
+                self._fail(str(err))
+                return math.nan
+        if isinstance(e, Var):
+            if e.name not in self.inputs:
+                self._fail(f"no value bound to variable {e.name!r}")
+                return self._constant(math.nan)
+            if e.name not in self._bound:
+                self._bound[e.name] = self._slot(self.inputs[e.name])
+            return self._bound[e.name]
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            a, b = self._compile(e.left), self._compile(e.right)
+            if isinstance(e, Div) and isinstance(b, float) and b == 0.0:
+                self._fail("division by zero")
+            if isinstance(e, Mul) and isinstance(a, float):
+                # c*x is x.__rmul__(c): x is the left factor, whose zeros are skipped
+                a, b = b, a
+            return self._binary(type(e), self._series(a), self._series(b))
+        if isinstance(e, Pow):
+            x = self._compile(e.base)
+            if e.exponent == 0:
+                return self._constant(1.0)
+            if e.exponent < 0:
+                x = self._binary(Div, self._constant(1.0), x)
+            out = x
+            for _ in range(abs(e.exponent) - 1):
+                out = self._binary(Mul, out, x)
+            return out
+        if isinstance(e, Neg):
+            a = self._compile(e.arg)
+            return self._numbered(("neg", a), lambda out: _neg_step(out, a), self._tops[a])
+        if isinstance(e, Func):
+            return self._function(e.name, self._compile(e.arg))
+        raise TypeError(f"not an Expr node: {e!r}")
+
+    def _binary(self, kind, a: int, b: int) -> int:
+        ta, tb = self._tops[a], self._tops[b]
+        if kind is Add:
+            return self._numbered(("+", a, b), lambda out: _add_step(out, a, b), max(ta, tb))
+        if kind is Sub:
+            return self._numbered(("-", a, b), lambda out: _sub_step(out, a, b), max(ta, tb))
+        if kind is Mul:
+            return self._numbered(("*", a, b), lambda out: _mul_step(out, a, b, self._slot(None), ta, tb), ta + tb)
+        # a quotient by a constant is 0 where its numerator is
+        return self._numbered(("/", a, b), lambda out: _div_step(out, a, b), ta if tb == 0 else math.inf)
+
+    def _function(self, name: str, g: int) -> int:
+        top = self._tops[g]
+        if name == "exp":
+            return self._numbered(("exp", g), lambda out: _exp_step(out, g, top), math.inf)
+        if name == "ln":
+            return self._numbered(("ln", g), lambda out: _ln_step(out, g), math.inf)
+        if name not in ("sin", "cos", "tan"):
+            raise ValueError(f"unknown function {name!r}")
+        if ("sin", g) not in self._numbers:
+            s, c = self._slot(math.inf), self._slot(math.inf)
+            self._steps.append(_sin_cos_step(s, c, g, top))
+            self._numbers["sin", g], self._numbers["cos", g] = s, c
+        if name != "tan":
+            return self._numbers[name, g]
+        s, c = self._numbers["sin", g], self._numbers["cos", g]
+        self._steps.append(_tan_pole_step(c))
+        return self._binary(Div, s, c)
+
+    def start(self, points, inputs: Mapping, order: int) -> list:
+        """The slot table of a run to the given order at points, a float or
+        an array of points (a batch).  inputs maps each input's name to its
+        coefficients, a sequence that may grow as the run goes."""
+        v = [[] for _ in self._tops]
+        zeros = [0.0] * order
+        for slot, value in self._constants:
+            v[slot] = [value, *zeros]
+        for name, slot in self._bound.items():
+            if name not in inputs:
+                raise EvalDomainError(f"no value bound to variable {name!r}")
+            v[slot] = inputs[name]
+        return v
+
+    def advance(self, v: list, k: int, points) -> None:
+        """Compute coefficient k of every step, after coefficients 0..k-1."""
+        for step in self._steps:
+            step(v, k, points)
+
+    def run(self, points, inputs: Mapping, order: int) -> list:
+        """The output's coefficients 0..order at points (see start)."""
+        v = self.start(points, inputs, order)
+        for k in range(order + 1):
+            self.advance(v, k, points)
+        return list(v[self.out][: order + 1])
+
+
+def taylor_eval(e: Union[Expr, TaylorProgram], env: Mapping) -> TaylorScalar:
     """Evaluate e on an environment of Taylor series.
 
-    All series in env must share base point and order; the result's k-th
-    derivative at the base point is the k-th t-derivative of e composed with
-    the environment.
+    e is an Expr, compiled into a TaylorProgram on this call, or a program
+    compiled before whose inputs env binds.  All series in env must share
+    base point and order; the result's k-th derivative at the base point is
+    the k-th t-derivative of e composed with the environment.
     """
     if not env:
         raise ValueError("taylor_eval requires a non-empty environment")
@@ -616,10 +895,8 @@ def taylor_eval(e: Expr, env: Mapping) -> TaylorScalar:
     for s in series[1:]:
         if (s.base_point is not base and not _same_point(s.base_point, base)) or s.order != order:
             raise SeriesMismatchError("environment series disagree on base point or order")
-    out = _evaluate(e, env)
-    if not isinstance(out, TaylorScalar):
-        out = TaylorScalar.constant(out, base, order)
-    return out
+    program = e if isinstance(e, TaylorProgram) else TaylorProgram(e, dict.fromkeys(env, math.inf))
+    return TaylorScalar(base, tuple(program.run(base, {name: s.coeffs for name, s in env.items()}, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +1019,10 @@ def differentiate(e: Expr, var: str) -> Expr:
 # Formal power-series solutions of u'''' = F(t, u, u', u'', u''')
 # ---------------------------------------------------------------------------
 
+# the inputs of a program of F: t and the jet u, p = u', q = u'', r = u'''
+FLOW_INPUTS = {"t": 1, "u": math.inf, "p": math.inf, "q": math.inf, "r": math.inf}
+
+
 def _jet5(init):
     if hasattr(init, "t"):
         return (init.t, init.u, init.p, init.q, init.r)
@@ -749,49 +1030,62 @@ def _jet5(init):
     return (float(t0), float(u0), float(p0), float(q0), float(r0))
 
 
-def _padded_deriv(coeffs, k: int):
-    """Coefficients of the k-th termwise derivative, zero-padded back to the
-    original length.  The top k entries are unknown beyond truncation."""
-    out = list(coeffs)
-    for _ in range(k):
-        out = [(i + 1) * out[i + 1] for i in range(len(out) - 1)] + [0.0]
-    return tuple(out)
+def _grow(flow: dict, x) -> None:
+    """Append coefficient x to flow's u, and the coefficients of p, q and r,
+    its termwise derivatives, that x fixes."""
+    u, p, q, r = flow["u"], flow["p"], flow["q"], flow["r"]
+    u.append(x)
+    m = len(u) - 1
+    if m >= 1:
+        p.append(m * u[m])
+    if m >= 2:
+        q.append((m - 1) * p[m - 1])
+    if m >= 3:
+        r.append((m - 2) * q[m - 2])
 
 
-def flow_env(u_series: TaylorScalar) -> dict:
-    """Full evaluation environment {t,u,p,q,r} induced by a u-series."""
-    base, order = u_series.base_point, u_series.order
-    return {
-        "t": TaylorScalar.variable(base, order),
-        "u": u_series,
-        "p": TaylorScalar(base, _padded_deriv(u_series.coeffs, 1)),
-        "q": TaylorScalar(base, _padded_deriv(u_series.coeffs, 2)),
-        "r": TaylorScalar(base, _padded_deriv(u_series.coeffs, 3)),
-    }
+def flow_sweep(program: TaylorProgram, init, order: int) -> tuple:
+    """(t0, flow): the coefficients of the formal solution of u'''' = F
+    through a jet, where program is F compiled with the inputs
+    FLOW_INPUTS.  flow maps t to the series of t itself, u to
+    coefficients 0..order, and p, q, r to those of u', u'', u''' that they
+    fix: 0..order-1, 0..order-2 and 0..order-3.
+
+    init supplies (t, u, u', u'', u''') either as a Jet4 or a 5-tuple; the
+    jet fixes coefficients 0..3 of u.  Coefficient k of F reads u only
+    through coefficient k+3, so one relaxed sweep fills the rest (van der
+    Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002):
+    for k = 0 .. order-4, the program computes coefficient k of each of its
+    steps, once, and coefficient k+4 of u is set from F's coefficient k.
+    """
+    if order < 4:
+        raise ValueError(f"order must be at least 4, got {order}")
+    t0, u0, p0, q0, r0 = _jet5(init)
+    flow = {"t": list(TaylorScalar.variable(t0, order).coeffs), "u": [], "p": [], "q": [], "r": []}
+    for x in (u0, p0, q0 / 2.0, r0 / 6.0):
+        _grow(flow, x)
+    v = program.start(t0, flow, order)
+    f = v[program.out]
+    for k in range(order - 3):
+        program.advance(v, k, t0)
+        _grow(flow, f[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+    return t0, flow
 
 
 def formal_solution(F: Expr, init, order: int) -> dict:
     """Taylor series of the formal solution of u'''' = F through a jet.
 
-    init supplies (t, u, u', u'', u''') either as a Jet4 or a 5-tuple; the
-    jet fixes coefficients 0..3 of u.  Coefficient k of F reads u only
-    through coefficient k+3, so one pass per coefficient fills the rest in a
-    single sweep (Taylor propagation; Griewank & Walther, *Evaluating
-    Derivatives*, 2nd ed., ch. 13): pass k evaluates F once on the series so
-    far and sets coefficient k+4 from F's coefficient k, for k = 0 ..
-    order-4.  Returns flow_env of the result, {t, u, p, q, r}, all at the
-    requested order (the top entries of p, q, r are truncation-padded with
-    zeros).
+    F is compiled into a TaylorProgram on this call and run in one relaxed
+    sweep (flow_sweep).  Returns {t, u, p, q, r}, all at the requested order:
+    the top entries of p, q, r, past what the sweep fixes, are zeros.
 
     Derivative series are valid through coefficient order-1, order-2, and
     order-3 respectively; F evaluated on the result is valid through
     coefficient order-4.  Coefficient k does not depend on the order.
     """
-    if order < 4:
-        raise ValueError(f"order must be at least 4, got {order}")
-    t0, u0, p0, q0, r0 = _jet5(init)
-    coeffs = [u0, p0, q0 / 2.0, r0 / 6.0] + [0.0] * (order - 3)
-    for k in range(order - 3):
-        f = taylor_eval(F, flow_env(TaylorScalar(t0, tuple(coeffs))))
-        coeffs[k + 4] = f.coeffs[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4))
-    return flow_env(TaylorScalar(t0, tuple(coeffs)))
+    t0, flow = flow_sweep(TaylorProgram(F, FLOW_INPUTS), init, order)
+    out = {"t": TaylorScalar.variable(t0, order)}
+    for name in "upqr":
+        c = flow[name]
+        out[name] = TaylorScalar(t0, tuple(c) + (0.0,) * (order + 1 - len(c)))
+    return out

@@ -40,7 +40,7 @@ from .closed_form import MobiusFamily, family_derivs, family_fourth, family_pole
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, d_u, el_rhs, guarded, lagrangian, schwarzian
-from .symbolics import Expr, TaylorScalar, first_where, parse, taylor_eval, variables_of
+from .symbolics import Expr, TaylorProgram, TaylorScalar, first_where, parse, taylor_eval, variables_of
 
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
@@ -97,6 +97,9 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
     sample call over the nodes of all of its panels, and each panel is then
     fitted on its own, as a batched product would round differently.  So
     every panel is the one a walk panel by panel would give, bit for bit."""
+    # a sample that is not finite is refused below, by its panel's tail, so
+    # numpy does not warn of it first
+    @np.errstate(over="ignore", invalid="ignore")
     def fit(level):
         values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
         return [_CHEB_FIT @ v for v in values.reshape((len(level), CHEB_N) + values.shape[1:])]
@@ -237,7 +240,8 @@ class VariationFn:
 
 class ExprVariation(VariationFn):
     """Variation given by an expression in t alone; derivatives via Taylor
-    arithmetic, so they are exact."""
+    arithmetic, so they are exact.  The expression is compiled once, into
+    the TaylorProgram that each read runs."""
 
     def __init__(self, source: Union[str, Expr]):
         self.expr = parse(source) if isinstance(source, str) else source
@@ -245,6 +249,8 @@ class ExprVariation(VariationFn):
         if extra:
             raise ValueError(f"expression may only reference t, found {sorted(extra)}")
         self.text = str(self.expr)
+        # t's series about a point, (t, 1, 0, ...), is 0 past coefficient 1
+        self.program = TaylorProgram(self.expr, {"t": 1})
 
     # an overflow or an invalid value leaves a non-finite entry, which the
     # curve check or the panel walk refuses
@@ -252,12 +258,12 @@ class ExprVariation(VariationFn):
     @np.errstate(over="ignore", invalid="ignore")
     def derivs(self, t):
         # at an array, one batch of series based at every node
-        s = taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 3)})
+        s = taylor_eval(self.program, {"t": TaylorScalar.variable(t, 3)})
         return _rows((s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3)), t)
 
     @np.errstate(over="ignore", invalid="ignore")
     def fourth(self, t):
-        return taylor_eval(self.expr, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
+        return taylor_eval(self.program, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
 
     def describe(self) -> str:
         return f"expr:{self.text}"
