@@ -11,6 +11,9 @@ solution through the initial jet, u + p G(s)/(1 - c G(s)) with c = q/(2p)
 event on the state sees it coming; or |p| decays below SINGULARITY_FLOOR,
 where the right-hand side blows up although u stays finite (u = e^t /
 (e^t + 1) as t grows).
+
+scipy is imported by the first solve, not with this module: the rest of the
+package (Taylor programs, Moebius families, Chebyshev panels) never needs it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closed_form import generator_solve
 from .errors import IntegrationError, SingularJetError
@@ -76,6 +78,13 @@ class Trajectory:
             raise ValueError(f"t = {outside} outside integration span [{lo}, {hi}]")
         y = self.dense(t)
         return Jet4(t, *(y if isinstance(t, np.ndarray) else map(float, y)))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _rhs(t, y):
@@ -141,13 +150,12 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         ts, ys = ts[:1], ys[:, :1]
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[:, ::-1]
-    samples = tuple(Jet4(float(t), *map(float, ys[:, i])) for i, t in enumerate(ts))
-    s_values = tuple(schwarzian(j) for j in samples)
-    c_values = tuple(mercator_c(j) for j in samples)
+    samples = tuple(map(Jet4, ts.tolist(), *ys.tolist()))
+    jets = Jet4(ts, *ys)
     return Trajectory(
         samples=samples,
-        s_values=s_values,
-        c_values=c_values,
+        s_values=tuple(schwarzian(jets).tolist()),
+        c_values=tuple(mercator_c(jets).tolist()),
         tolerance=tol,
         status=status,
         solve_dense=lambda: solve(True).sol,

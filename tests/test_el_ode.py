@@ -2,7 +2,12 @@
 first-integral conservation, convergence, time reversal, and the CSV export
 format."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +86,48 @@ def test_dense_output_is_built_on_first_read(monkeypatch):
         assert calls == [False, True]
         # the dense run takes the steps of the first one
         assert sorted(traj.dense.ts.tolist()) == [j.t for j in traj.samples]
+
+
+# a fresh process: which modules each step leaves loaded, and the samples of
+# the run that loads scipy; each README command's output is swallowed
+SCIPY_ON_FIRST_SOLVE = """
+import contextlib, io, json, sys
+
+seen = {}
+import schwarzlab
+seen["import schwarzlab"] = "scipy" in sys.modules
+from schwarzlab import cli
+seen["import schwarzlab.cli"] = "scipy" in sys.modules
+for argv in (["invariants", "--field", "EL", "--jet", "0,0,1,0,2"],
+             ["family", "--sigma", "2", "--A", "1", "--B", "0", "--C", "0", "--D", "1",
+              "--verify", "100", "--jet-at", "0.5"],
+             ["linearize", "--field", "EL", "--base", "exp", "--t", "0.3"],
+             ["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "50"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[f"{argv[0]} (exit {code})"] = "scipy" in sys.modules
+from schwarzlab import Jet4, integrate
+traj = integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)
+seen["integrate"] = "scipy" in sys.modules
+print(json.dumps({"seen": seen, "samples": repr(traj.samples)}))
+"""
+
+
+def test_scipy_is_loaded_by_the_first_solve_only():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_SOLVE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["seen"] == {
+        "import schwarzlab": False,
+        "import schwarzlab.cli": False,
+        "invariants (exit 0)": False,
+        "family (exit 0)": False,
+        "linearize (exit 0)": False,
+        "variation (exit 0)": False,
+        "integrate": True,
+    }
+    assert report["samples"] == repr(integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10).samples)
 
 
 def test_exp2_jet_endpoint():
