@@ -10,7 +10,13 @@ solution through the initial jet, u + p G(s)/(1 - c G(s)) with c = q/(2p)
 (closed_form.generator_solve), as |u'| grows without bound there and no
 event on the state sees it coming; or |p| decays below SINGULARITY_FLOOR,
 where the right-hand side blows up although u stays finite (u = e^t /
-(e^t + 1) as t grows).
+(e^t + 1) as t grows).  A terminal event watches that floor, but only on the
+runs that need it: those where the exact solution reaches the floor before
+the run ends (_floor_times), and the rare rest that, solved without it, fail,
+meet a floating-point error or leave a sample on the floor, which are solved
+again with the event.  The event only tests the sign of |p| -
+SINGULARITY_FLOOR at each step's end and never changes the steps, so every
+run gives what a run that always watches would give, warnings included.
 
 scipy is imported by the first solve, not with this module: the rest of the
 package (Taylor programs, Moebius families, Chebyshev panels) never needs it.
@@ -99,11 +105,43 @@ def _p_floor(t, y):
 _p_floor.terminal = True
 
 
+def _floor_times(sigma: float, p: float, c: float, lo: float, hi: float) -> list:
+    """The s in [lo, hi] where |u'| = SINGULARITY_FLOOR on the exact solution
+    u + p G(s)/(1 - c G(s)) through a jet with S = sigma, ascending.  Its
+    slope p G'/(1 - c G)^2, with G' = 1 + (sigma/2) G^2, meets the floor on a
+    quadratic in G.  For sigma < 0 the quadratic is taken in z = e^(-2ks)
+    instead, where the slope is 4 p k^2 z/((k - c) + (k + c) z)^2: G =
+    tanh(ks)/k nears 1/k as the slope decays, and keeps few digits of s."""
+    f, ap = SINGULARITY_FLOOR, abs(p)
+    if sigma < 0:
+        k2 = -sigma / 2.0
+        k = math.sqrt(k2)
+        # f ((k - c) + (k + c) z)^2 = 4 |p| k^2 z
+        a, b, c0 = f * (k + c) * (k + c), f * (k2 - c * c) - 2.0 * ap * k2, f * (k - c) * (k - c)
+        disc = 4.0 * ap * k2 * (ap * k2 - f * (k2 - c * c))
+    else:
+        # f (1 - c G)^2 = |p| (1 + (sigma/2) G^2)
+        a, b, c0 = ap * sigma / 2.0 - f * c * c, f * c, ap - f
+        disc = ap * (f * c * c - sigma / 2.0 * (ap - f))
+    # the roots of a x^2 + 2 b x + c0, disc = b^2 - a c0, without cancellation
+    if not disc >= 0.0:
+        return []
+    h = -(b + math.copysign(math.sqrt(disc), b))
+    roots = [x for x in ((h / a) if a else math.nan, (c0 / h) if h else math.nan) if math.isfinite(x)]
+    if sigma < 0:
+        return sorted(s for z in roots for s in generator_solve(sigma, 1.0, z, lo, hi, public=True))
+    return sorted(s for g in roots for s in generator_solve(sigma, g, 1.0, lo, hi))
+
+
 def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with DOP853,
     local error control at tol.  Works in either time direction.  Stops
     POLE_MARGIN before the first pole of u on the way (or halfway to a pole
-    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR.
+    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR: the
+    floor event is attached where the exact solution through init reaches
+    the floor before the run ends, and otherwise only to a rerun of a run
+    that failed, met a floating-point overflow, division by zero or invalid
+    operation, or left a sample on or below the floor.
     A jet or t_end that is not finite, or a span t_end - init.t that
     overflows, raises ValueError."""
     if not all(math.isfinite(x) for x in (*init.as_tuple(), t_end)):
@@ -129,19 +167,38 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     if poles:
         dist = min(abs(t) for t in poles)
         margin = min(POLE_MARGIN, 0.5 * dist)
-        t_stop = init.t + math.copysign(dist - margin, t_end - init.t)
+        span = math.copysign(dist - margin, span)
+        t_stop = init.t + span
         # near the pole the endpoint error grows like the phase error over
         # the margin, and the phase error like tol over the distance run
         inner *= margin / dist
     inner = max(inner, 3e-14)  # the float64 rtol floor
 
-    def solve(dense_output):
+    def solve(events, dense_output):
         # dense output adds stages after each accepted step and leaves the
         # step selection alone, so both calls take the same steps
         return solve_ivp(_rhs, (init.t, t_stop), (init.u, init.p, init.q, init.r), method="DOP853",
-                         rtol=inner, atol=inner, events=_p_floor, dense_output=dense_output)
+                         rtol=inner, atol=inner, events=events, dense_output=dense_output)
 
-    sol = solve(False)
+    # the floor event where the exact solution meets the floor on the way;
+    # for S > 0 its slope repeats with the poles, within the same window.
+    # The event fires only at a step end where |p| <= SINGULARITY_FLOOR, or
+    # at the step after one, so a run without it that did not fail and whose
+    # samples all stay above the floor took the steps of the run with it,
+    # and ended where that run ends.  Its floating-point errors raise, so it
+    # shows no warning: a run that met one is solved again with the event,
+    # and any warnings are that run's
+    sol = None
+    if not _floor_times(sigma, init.p, c, *sorted((0.0, span))):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                sol = solve(None, False)
+        except FloatingPointError:
+            pass
+    events = None
+    if sol is None or sol.status < 0 or np.abs(sol.y[1]).min() <= SINGULARITY_FLOOR:
+        events = _p_floor
+        sol = solve(events, False)
     if sol.status < 0:
         raise IntegrationError(f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
     status = STATUS_STOPPED if sol.status == 1 or t_stop != t_end else STATUS_COMPLETED
@@ -158,7 +215,7 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         c_values=tuple(mercator_c(jets).tolist()),
         tolerance=tol,
         status=status,
-        solve_dense=lambda: solve(True).sol,
+        solve_dense=lambda: solve(events, True).sol,
         t_start=init.t,
         t_final=float(sol.t[-1]),
     )

@@ -191,18 +191,26 @@ def _refuse_irregular(name: str, ts, us, ps) -> None:
     t = first_where(~(np.isfinite(us) & np.isfinite(ps)), ts)
     if t is not None:
         raise SingularJetError(f"curve {name} is not finite at t = {t}")
-    last_sign, last_u = 0.0, 0.0
-    for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
-        if abs(p) < CURVE_P_FLOOR:
-            raise SingularJetError(f"curve {name} has |u'| = {abs(p):.2e} at t = {t}")
-        sign = math.copysign(1.0, p)
-        if last_sign and sign != last_sign:
-            raise SingularJetError(f"curve {name} has u' changing sign near t = {t}")
-        if last_sign and sign * (u - last_u) < -CURVE_U_ROUNDING * max(abs(u), abs(last_u)):
-            raise SingularJetError(
-                f"curve {name} has u moving against the sign of u' near t = {t}: a pole lies in its domain"
-            )
-        last_sign, last_u = sign, u
+    # each test at point i compares it with point i - 1; the first point
+    # that fails one is refused, by the first test it fails
+    sign = np.copysign(1.0, ps)
+    low = np.abs(ps) < CURVE_P_FLOOR
+    flip = np.concatenate(([False], sign[1:] != sign[:-1]))
+    with np.errstate(over="ignore"):  # u_i - u_(i-1) may round to +-inf
+        rise = sign[1:] * (us[1:] - us[:-1])
+    against = np.concatenate(([False], rise < -CURVE_U_ROUNDING * np.maximum(np.abs(us[1:]), np.abs(us[:-1]))))
+    bad = np.flatnonzero(low | flip | against)
+    if bad.size == 0:
+        return
+    i = bad[0]
+    t = float(ts[i])
+    if low[i]:
+        raise SingularJetError(f"curve {name} has |u'| = {abs(float(ps[i])):.2e} at t = {t}")
+    if flip[i]:
+        raise SingularJetError(f"curve {name} has u' changing sign near t = {t}")
+    raise SingularJetError(
+        f"curve {name} has u moving against the sign of u' near t = {t}: a pole lies in its domain"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ def test_integrate_stop_exits_2(capsys):
     assert code == 2
 
 
+def test_integrate_far_past_the_floor_exits_2_quietly(capsys):
+    # the run is watched from the start, as the exact solution reaches the
+    # floor on the way: run on past it, the solver would overflow
+    code, _, err = run(
+        ["integrate", "--jet", "0,0.5,0.25,0,-0.125", "--t-end", "1000", "--tol", "1e-3"],
+        capsys,
+    )
+    assert code == 2
+    assert err == ""
+
+
 def test_integrate_solver_failure_exits_1(failing_solver, capsys):
     # a solver that gives up is reported as an error, not a traceback
     code, _, err = run(["integrate", "--jet", "0,0,1,0,2", "--t-end", "1"], capsys)

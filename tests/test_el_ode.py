@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 
 from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
 from schwarzlab import el_ode
-from schwarzlab.closed_form import MobiusFamily, family_eval_jet, family_of_jet
+from schwarzlab.closed_form import MobiusFamily, family_derivs, family_eval_jet, family_of_jet, family_singularities
 from schwarzlab.el_ode import (
     POLE_MARGIN,
+    SINGULARITY_FLOOR,
     STATUS_COMPLETED,
     STATUS_STOPPED,
     integrate,
@@ -205,6 +207,149 @@ def test_singularity_stop():
     assert abs(traj.final.p) >= 1e-8 * (1 - 1e-9)
     assert traj.final.t < 30.0
     assert all(abs(j.p) >= 1e-8 * (1 - 1e-9) for j in traj.samples)
+
+
+# the exact solution through this jet is u = e^t/(e^t + 1), whose slope
+# e^t/(e^t + 1)^2 meets the floor at t = +-2 acosh(1/(2 sqrt(floor)))
+LOGISTIC = Jet4(0.0, 0.5, 0.25, 0.0, -0.125)
+LOGISTIC_FLOOR_T = 2.0 * math.acosh(0.5 / math.sqrt(SINGULARITY_FLOOR))
+
+
+def recording_solve_ivp(monkeypatch, force=False):
+    """Replace el_ode.solve_ivp by one that records the events of each call
+    and, with force, always watches the floor: the path of every run before
+    the floor event was attached only where needed."""
+    events = []
+    solve_ivp = el_ode.solve_ivp
+
+    def recording(*args, **kwargs):
+        events.append(kwargs["events"])
+        if force:
+            kwargs["events"] = el_ode._p_floor
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(el_ode, "solve_ivp", recording)
+    return events
+
+
+def test_floor_event_only_where_the_exact_solution_reaches_it(monkeypatch):
+    events = recording_solve_ivp(monkeypatch)
+    integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)
+    assert events == [None]
+    for t_end in (30.0, -30.0):
+        events.clear()
+        traj = integrate(LOGISTIC, t_end, 1e-10)
+        assert events == [el_ode._p_floor]
+        assert traj.status == STATUS_STOPPED
+        assert abs(traj.t_final) == pytest.approx(LOGISTIC_FLOOR_T, abs=1e-3)
+    # the exact slope stays above the floor up to t_end; the numerical one
+    # reaches it first at this tolerance, so the run is solved again with
+    # the event, and stops where the run with it always stops
+    events.clear()
+    traj = integrate(LOGISTIC, 0.25 - LOGISTIC_FLOOR_T, 1e-3)
+    assert events == [None, el_ode._p_floor]
+    assert traj.status == STATUS_STOPPED
+    assert traj.t_final > 0.25 - LOGISTIC_FLOOR_T
+    # the dense output is the run's, event and all
+    traj.jet_at(traj.t_final)
+    assert events == [None, el_ode._p_floor, el_ode._p_floor]
+
+
+def test_floor_time_in_closed_form():
+    s = el_ode._floor_times(schwarzian(LOGISTIC), LOGISTIC.p, 0.0, -100.0, 100.0)
+    assert s == pytest.approx([-LOGISTIC_FLOOR_T, LOGISTIC_FLOOR_T], rel=1e-12)
+    assert el_ode._floor_times(schwarzian(LOGISTIC), LOGISTIC.p, 0.0, -18.0, 18.0) == []
+
+
+@pytest.mark.parametrize("sigma, p, c", [(-0.5, 0.3, 0.2), (-0.5, -2.0, 0.7), (0.0, 1e-5, 1.0), (0.0, -4e-6, -0.5),
+                                         (2.0, 1e-6, 20.0), (0.5, -1e-7, -4.0)])
+def test_floor_time_matches_a_scan_of_the_exact_slope(sigma, p, c):
+    # the exact solution through the jet (0, 0, p, 2pc, p (sigma + 6c^2)),
+    # whose S is sigma; its |u'| scanned on a fine grid, each crossing of
+    # the floor then bisected
+    fam = family_of_jet(Jet4(0.0, 0.0, p, 2.0 * p * c, p * (sigma + 6.0 * c * c)))
+    lo, hi = -60.0, 60.0
+    ts = np.linspace(lo, hi, 239_999)  # no point on a pole
+    above = np.abs(family_derivs(fam, ts)[1]) > SINGULARITY_FLOOR
+    scanned = []
+    for i in np.flatnonzero(above[1:] != above[:-1]):
+        a, b = ts[i], ts[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if (abs(family_derivs(fam, mid)[1]) > SINGULARITY_FLOOR) == above[i]:
+                a = mid
+            else:
+                b = mid
+        scanned.append(0.5 * (a + b))
+    assert scanned, "no crossing of the floor in the window"
+    assert el_ode._floor_times(sigma, p, c, lo, hi) == pytest.approx(scanned, rel=1e-10, abs=1e-10)
+
+
+def sweep_runs():
+    """Seeded runs of every kind: exact family jets of each class and raw
+    jets with |p| down to 1e-8, both directions, t_end up to 300 away,
+    tolerances log-uniform over the allowed range, and runs that end just
+    before the logistic's floor time, where the numerical slope reaches the
+    floor first at a loose tolerance."""
+    rng = np.random.default_rng(24)
+    for i in range(240):
+        if i % 4 < 3:
+            fam = random_family(rng, ("hyperbolic", "parabolic", "elliptic")[i % 4])
+            t0 = float(rng.uniform(-1.0, 1.0))
+            if any(abs(t - t0) < 0.05 for t in family_singularities(fam, t0 - 0.1, t0 + 0.1)):
+                continue
+            start = family_eval_jet(fam, t0)
+        else:
+            start = random_jet(rng, p_lo=1e-8, p_hi=1.0)
+        t_end = start.t + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, math.log10(300.0)))
+        yield start, t_end, float(10.0 ** rng.uniform(-13.0, -3.0))
+    for t_end in np.linspace(LOGISTIC_FLOOR_T - 0.5, LOGISTIC_FLOOR_T, 6):
+        for sign in (1.0, -1.0):
+            yield LOGISTIC, sign * float(t_end), 1e-3
+
+
+def outcome(start, t_end, tol, action):
+    """What a run gives, or what it raises, by type and message, and the
+    warnings it shows under the warnings filter action."""
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        try:
+            traj = integrate(start, t_end, tol)
+        except Exception as e:  # any exception, so that both paths are compared on it
+            got = type(e), str(e)
+        else:
+            got = traj.samples, traj.s_values, traj.c_values, traj.status, traj.t_final
+    return got, [(w.category, str(w.message), w.filename, w.lineno) for w in shown]
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_integrate_is_the_always_watching_run(monkeypatch, action):
+    paths = []
+    for start, t_end, tol in sweep_runs():
+        with monkeypatch.context() as m:
+            events = recording_solve_ivp(m)
+            got = outcome(start, t_end, tol, action)
+            paths.append(tuple(e is not None for e in events))
+        with monkeypatch.context() as m:
+            recording_solve_ivp(m, force=True)
+            want = outcome(start, t_end, tol, action)
+        # repr: the same bits, nan and the sign of zero included
+        assert repr(got) == repr(want), (start, t_end, tol)
+    # each path was taken: no event, the event from the start, and a rerun
+    assert {(False,), (True,), (False, True)} <= set(paths)
+
+
+def test_a_run_that_meets_a_floating_point_error_is_solved_again(monkeypatch):
+    # with the gate left out, the logistic run far past its floor time
+    # overflows without the event; that run is dropped, not its warnings
+    # shown, and the run with the event stops at the floor
+    monkeypatch.setattr(el_ode, "_floor_times", lambda *args: [])
+    events = recording_solve_ivp(monkeypatch)
+    got = outcome(LOGISTIC, 1000.0, 1e-3, "default")
+    assert events == [None, el_ode._p_floor]
+    assert got[1] == []
+    assert got[0][3] == STATUS_STOPPED
+    assert abs(got[0][4]) == pytest.approx(LOGISTIC_FLOOR_T, abs=1.0)
 
 
 def test_dense_output_matches_samples():

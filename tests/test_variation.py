@@ -112,6 +112,83 @@ def test_curve_with_a_pole_in_its_domain_rejected():
         ExprCurve("tan(t)", (1.0, 2.0))
 
 
+def refuse_irregular_loop(name, ts, us, ps):
+    """The point-by-point form of variation._refuse_irregular, as the oracle
+    of its array form: the same tests, in the same order, at each point."""
+    t = next((t for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist())
+              if not (math.isfinite(u) and math.isfinite(p))), None)
+    if t is not None:
+        raise SingularJetError(f"curve {name} is not finite at t = {t}")
+    last_sign, last_u = 0.0, 0.0
+    for t, u, p in zip(ts.tolist(), us.tolist(), ps.tolist()):
+        if abs(p) < variation.CURVE_P_FLOOR:
+            raise SingularJetError(f"curve {name} has |u'| = {abs(p):.2e} at t = {t}")
+        sign = math.copysign(1.0, p)
+        if last_sign and sign != last_sign:
+            raise SingularJetError(f"curve {name} has u' changing sign near t = {t}")
+        if last_sign and sign * (u - last_u) < -variation.CURVE_U_ROUNDING * max(abs(u), abs(last_u)):
+            raise SingularJetError(
+                f"curve {name} has u moving against the sign of u' near t = {t}: a pole lies in its domain"
+            )
+        last_sign, last_u = sign, u
+
+
+def refusal(check, ts, us, ps):
+    try:
+        check("c", ts, us, ps)
+    except SingularJetError as e:
+        return str(e)
+    return None
+
+
+def irregular_cases():
+    """(ts, us, ps) on a 101-point grid: a regular curve, then arrays built
+    to trip each refusal, alone, together at one point, or at two points."""
+    ts = np.linspace(0.1, 1.3, 101)
+    rng = np.random.default_rng(5)
+    base = (np.tan(ts), 1.0 / np.cos(ts) ** 2)
+    yield ts, *base
+    yield ts, -base[0], -base[1]
+    for i in (0, 1, 37, 100):
+        us, ps = base[0].copy(), base[1].copy()
+        ps[i] = 3e-9  # under the floor
+        yield ts, us, ps
+        ps[i] = -3e-9  # under the floor and a sign flip: the floor is named
+        yield ts, us, ps
+        ps[i] = -3e-6  # a sign flip, and against u' from there on
+        yield ts, us, ps
+        us, ps = base[0].copy(), base[1].copy()
+        us[i] -= 0.5  # u steps back at i, or forward at i + 1 against -u'
+        yield ts, us, ps
+        ps[i] = -ps[i]  # flip and step back at one point: the flip is named
+        yield ts, us, ps
+        us[i], ps[i] = np.nan, 1.0
+        yield ts, us, ps
+        us, ps = base[0].copy(), base[1].copy()
+        us[i] = -np.inf
+        yield ts, us, ps
+    # a step back no larger than the rounding allowance passes
+    us = base[0].copy()
+    us[50] = us[49] * (1.0 - 0.5 * variation.CURVE_U_ROUNDING)
+    yield ts, us, base[1]
+    # u - u_prev rounds to -inf: still a step back, and no numpy warning
+    yield ts[:3], np.array([1e308, -1e308, -1e308]), np.ones(3)
+    for _ in range(20):
+        us = np.cumsum(rng.normal(1.0, 1.0, ts.size))
+        ps = rng.choice([1.0, 1.0, 1.0, -1.0], ts.size) * 10.0 ** rng.uniform(-9, 1, ts.size)
+        yield ts, us, ps
+
+
+def test_refuse_irregular_matches_the_point_loop():
+    seen = set()
+    for ts, us, ps in irregular_cases():
+        want = refusal(refuse_irregular_loop, ts, us, ps)
+        assert refusal(variation._refuse_irregular, ts, us, ps) == want
+        seen.add(want and next(k for k in ("not finite", "|u'| =", "changing sign", "moving against") if k in want))
+    # every refusal, and a pass, were seen
+    assert seen == {None, "not finite", "|u'| =", "changing sign", "moving against"}
+
+
 def test_removable_tan_pole_in_the_domain_accepted():
     # u = tan(t)/(tan(t) - 1) is regular at pi/2, where u = A/C = 1
     curve = MobiusCurve(MobiusFamily(1.0, 0.0, 1.0, -1.0, 2.0), (0.9, 2.0))
