@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -76,11 +77,14 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are bad input, exit 1 through
     main() rather than argparse's exit 2 (which here means a singular stop),
     and which keeps each flag's action by dest for checking config values.
-    Subparsers are made of the same class."""
+    A value that starts with - and a digit, or -. and a digit, is a number,
+    not a flag: -1e-3 as well as argparse's own -2 and -0.5.  Subparsers are
+    made of the same class."""
 
     def __init__(self, *args, **kwargs):
         self.flags = {}
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

@@ -45,7 +45,8 @@ MAX_SOLUTIONS = 10 ** 6
 @dataclass(frozen=True)
 class MobiusFamily:
     """Finite Moebius parameters (A, B, C, D) with AD - BC != 0, plus the
-    finite target constant sigma realised by S(u)."""
+    finite target constant sigma realised by S(u), 0 or one whose half is
+    not 0."""
 
     A: float
     B: float
@@ -58,6 +59,9 @@ class MobiusFamily:
             raise ValueError(f"family parameters must be finite, got {self}")
         if self.determinant == 0.0:
             raise ValueError("degenerate Moebius parameters: AD - BC = 0")
+        if self.sigma != 0.0 and self.sigma / 2.0 == 0.0:
+            # w or k is then 0, and the generator tan(ws) or e^(2ks) a constant
+            raise ValueError(f"degenerate Moebius family: sigma = {self.sigma} halves to 0")
 
     @property
     def determinant(self) -> float:
@@ -194,10 +198,14 @@ def generator_solve(sigma: float, num: float, den: float, lo: float, hi: float, 
     A family's poles are where C g + D = 0, so its level -D/C is solved in g:
     read in G it would mix C and D, and tanh(ks) rounds to 1 beyond ks = 19.
     A jet's level 1/c is solved in G, where atanh keeps the digits of a small
-    k.  With den = 0 these are the poles of G and g.  A window that is not
-    finite, or one that holds more than MAX_SOLUTIONS, raises ValueError."""
+    k.  With den = 0 these are the poles of G and g.  A sigma whose half
+    underflows to 0, so that w or k is 0, is solved as sigma = 0, G's limit.
+    A window that is not finite, or one that holds more than MAX_SOLUTIONS,
+    raises ValueError."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"need a finite window, got [{lo}, {hi}]")
+    if sigma / 2.0 == 0.0:
+        sigma = 0.0
     if sigma > 0:
         w = math.sqrt(sigma / 2.0)
         phase = math.pi / 2.0 if den == 0.0 else math.atan(num / den if public else w * num / den)

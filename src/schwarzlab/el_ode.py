@@ -111,10 +111,12 @@ def _floor_times(sigma: float, p: float, c: float, lo: float, hi: float) -> list
     slope p G'/(1 - c G)^2, with G' = 1 + (sigma/2) G^2, meets the floor on a
     quadratic in G.  For sigma < 0 the quadratic is taken in z = e^(-2ks)
     instead, where the slope is 4 p k^2 z/((k - c) + (k + c) z)^2: G =
-    tanh(ks)/k nears 1/k as the slope decays, and keeps few digits of s."""
+    tanh(ks)/k nears 1/k as the slope decays, and keeps few digits of s.
+    Where k^2 = -sigma/2 underflows to 0 the quadratic in G is taken, as for
+    sigma = 0."""
     f, ap = SINGULARITY_FLOOR, abs(p)
-    if sigma < 0:
-        k2 = -sigma / 2.0
+    k2 = -sigma / 2.0
+    if k2 > 0:
         k = math.sqrt(k2)
         # f ((k - c) + (k + c) z)^2 = 4 |p| k^2 z
         a, b, c0 = f * (k + c) * (k + c), f * (k2 - c * c) - 2.0 * ap * k2, f * (k - c) * (k - c)
@@ -128,7 +130,7 @@ def _floor_times(sigma: float, p: float, c: float, lo: float, hi: float) -> list
         return []
     h = -(b + math.copysign(math.sqrt(disc), b))
     roots = [x for x in ((h / a) if a else math.nan, (c0 / h) if h else math.nan) if math.isfinite(x)]
-    if sigma < 0:
+    if k2 > 0:
         return sorted(s for z in roots for s in generator_solve(sigma, 1.0, z, lo, hi, public=True))
     return sorted(s for g in roots for s in generator_solve(sigma, g, 1.0, lo, hi))
 
@@ -142,8 +144,9 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
     the floor before the run ends, and otherwise only to a rerun of a run
     that failed, met a floating-point overflow, division by zero or invalid
     operation, or left a sample on or below the floor.
-    A jet or t_end that is not finite, or a span t_end - init.t that
-    overflows, raises ValueError."""
+    A jet or t_end that is not finite, a span t_end - init.t that
+    overflows, or a jet where F is not finite, on which no step can be
+    taken, raises ValueError."""
     if not all(math.isfinite(x) for x in (*init.as_tuple(), t_end)):
         raise ValueError(f"need a finite jet and t_end, got {init.as_tuple()} and {t_end}")
     if not math.isfinite(t_end - init.t):
@@ -152,15 +155,23 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         raise ValueError(f"tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if abs(init.p) < SINGULARITY_FLOOR:
         raise SingularJetError(f"singular initial jet (p = {init.p})")
+    # F as the solver computes it, on float64.  Where it is not finite no
+    # step can be taken, and where it is NaN (inf - inf) the solver would
+    # never return: a step size of NaN is neither accepted nor refused
+    with np.errstate(all="ignore"):
+        f0 = _rhs(init.t, np.array(init.as_tuple()[1:]))[3]
+    if not math.isfinite(f0):
+        raise ValueError(f"F = {f0} at the initial jet {init.as_tuple()}: no step can be taken")
     # internal safety factor so the accumulated endpoint error stays well
     # inside 10*tol relative to scale
     inner = tol / 40.0
     t_stop = t_end
     # the poles of the solution through init, at s = t - init.t; with S > 0
     # they repeat with period pi/w, so the nearest lies within one period, and
-    # a window of two keeps rounding at its end from dropping that pole
+    # a window of two keeps rounding at its end from dropping that pole.  An
+    # S whose half underflows to 0 has no period, as S = 0
     sigma, span = schwarzian(init), t_end - init.t
-    if sigma > 0:
+    if sigma / 2.0 > 0:
         span = math.copysign(min(abs(span), 2.0 * math.pi / math.sqrt(sigma / 2.0)), span)
     c = init.q / (2.0 * init.p)
     poles = generator_solve(sigma, 1.0, c, *sorted((0.0, span)))

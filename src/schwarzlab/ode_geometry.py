@@ -23,7 +23,8 @@ from .closed_form import MobiusFamily, family_eval_jet
 from .el_ode import Trajectory
 from .errors import EvalDomainError
 from .schwarzian import EL_FIELD_TEXT, Jet4, schwarzian
-from .symbolics import FLOW_INPUTS, Expr, TaylorProgram, differentiate, eval_scalar, flow_sweep, parse, variables_of
+from .symbolics import (FLOW_INPUTS, Expr, TaylorProgram, derivatives, differentiate, eval_scalar, flow_sweep, parse,
+                        variables_of)
 from .variation import ExprVariation
 
 # The highest total derivative read is d3F_r, coefficient 3 of F_r.  F_r
@@ -63,11 +64,6 @@ def el_field() -> OdeField:
     return OdeField.from_expression(EL_FIELD_TEXT)
 
 
-def _derivatives(coeffs) -> list:
-    """The derivatives k! * coeffs[k] of a series."""
-    return [math.factorial(k) * c for k, c in enumerate(coeffs)]
-
-
 def _wuenschmann(field: OdeField, j: Jet4) -> tuple:
     """(W0, W1) at j, the formulas of w0 and w1, from one flow series through
     j: the k-th total derivative of G is k! times coefficient k of G
@@ -76,9 +72,9 @@ def _wuenschmann(field: OdeField, j: Jet4) -> tuple:
     or is not finite."""
     F, Fr, Fq, Fp = field.programs
     t0, flow = flow_sweep(F, j, TAYLOR_ORDER)
-    fr, dfr, d2fr, d3fr = _derivatives(Fr.run(t0, flow, 3))
-    fq, dfq, d2fq = _derivatives(Fq.run(t0, flow, 2))
-    (fp,) = _derivatives(Fp.run(t0, flow, 0))
+    fr, dfr, d2fr, d3fr = derivatives(Fr.run(t0, flow, 3))
+    fq, dfq, d2fq = derivatives(Fq.run(t0, flow, 2))
+    (fp,) = derivatives(Fp.run(t0, flow, 0))
     try:
         W0 = (
             (11.0 / 1600.0) * fr ** 4

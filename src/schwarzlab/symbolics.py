@@ -1,17 +1,19 @@
-"""Expression trees, symbolic differentiation, and truncated Taylor arithmetic.
+"""Expression trees, symbolic differentiation, and truncated Taylor series.
 
 This is the computational substrate for the rest of the package.  The same
 five-variable expression trees (over t, u, p, q, r) are evaluated at floats
 by a walk of the tree, and on truncated power series by a TaylorProgram: the
 tree compiled once into straight-line steps over series slots, run one
 coefficient at a time on floats or on equal-length arrays (a batch).  The
-program's steps and TaylorScalar's operators call the same kernel for each
+program is the package's one series engine.  Its steps call one kernel per
 recurrence (product, quotient, exp, ln, sin/cos), and a constant's
 coefficients past 0 are known to be 0, so a product with it is one term a
-coefficient.  formal_solution fills the series of the formal solution of
-u'''' = F in one relaxed sweep of F's program.  Series evaluation along that
-solution is how every total derivative in the package is computed, so there
-is no finite-difference noise anywhere in the invariant formulas.
+coefficient.  TaylorScalar is the series a run returns, and derivatives is
+the one place that turns coefficients into derivatives.  formal_solution
+fills the series of the formal solution of u'''' = F in one relaxed sweep of
+F's program.  Series evaluation along that solution is how every total
+derivative in the package is computed, so there is no finite-difference
+noise anywhere in the invariant formulas.
 
 numpy's ufuncs evaluate exp, ln, sin and cos, and tan as sin/cos, on every
 path: at a float, in a series at a float, and in a batch.  numpy gives the
@@ -30,7 +32,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from numbers import Real
 from typing import Mapping, Union
 
 import numpy as np
@@ -161,40 +162,33 @@ def _refuse_tan_pole(cos0, points) -> None:
     _refuse(abs(cos0) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}", points)
 
 
+def derivatives(coeffs, first: int = 0) -> list:
+    """The derivatives k! * c of a series at its base point, from its
+    coefficients c of index k = first, first + 1, ...  As 0! = 1! = 1, the
+    first two are the coefficients themselves."""
+    return [c if k < 2 else math.factorial(k) * c for k, c in enumerate(coeffs, first)]
+
+
 @dataclass(frozen=True, eq=False)
 class TaylorScalar:
-    """Truncated power series about ``base_point``.
+    """Truncated power series about ``base_point``: what taylor_eval and
+    formal_solution return, and what taylor_eval's environment binds.
 
     ``coeffs[k]`` holds (1/k!) * (k-th derivative at the base point), so a
     series represents sum_k coeffs[k] * (t - base_point)**k up to the stored
-    order.  Instances are immutable; every operation returns a new series,
-    computed by the kernels that TaylorProgram runs.  Arithmetic between two
-    series requires equal base point and order; a float is the constant
-    series (x, 0, 0, ...).
-
-    A batch of series, one per point of an array of base points, has that
-    array as its base point and coefficients that are floats or arrays of
-    the same shape.  Every operation then acts element by element with the
-    scalar sequence of floating-point operations, and the same numpy ufunc,
-    so each element equals the series computed at that point alone.  A
-    domain error at any point raises EvalDomainError naming the first such
-    t.  Series compare and hash by identity, as an elementwise == on a batch
-    has no single truth value.
+    order.  A batch of series, one per point of an array of base points, has
+    that array as its base point and coefficients that are floats or arrays
+    of the same shape.  Series compare and hash by identity, as an
+    elementwise == on a batch has no single truth value.  All arithmetic on
+    series is a TaylorProgram's.
     """
 
     base_point: float
     coeffs: tuple
 
-    # ndarray <op> series defers to the series, instead of making an object array
-    __array_ufunc__ = None
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, value: float, base_point: float, order: int) -> "TaylorScalar":
-        return cls(base_point, (float(value),) + (0.0,) * order)
 
     @classmethod
     def variable(cls, base_point: float, order: int) -> "TaylorScalar":
@@ -208,129 +202,7 @@ class TaylorScalar:
 
     def derivative(self, k: int) -> float:
         """k-th derivative at the base point (k! * coeffs[k])."""
-        return math.factorial(k) * self.coeffs[k]
-
-    def deriv(self) -> "TaylorScalar":
-        """Termwise derivative; the order drops by one."""
-        c = self.coeffs
-        return TaylorScalar(self.base_point, tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _operand(self, other):
-        """(coefficients, top) of the other operand, where its coefficients
-        past top are known to be 0, or None if it is not a number."""
-        if isinstance(other, TaylorScalar):
-            base = other.base_point
-            if (base is not self.base_point and not _same_point(base, self.base_point)
-                    or len(other.coeffs) != len(self.coeffs)):
-                raise SeriesMismatchError(
-                    f"series mismatch: base {self.base_point}/{other.base_point}, "
-                    f"order {self.order}/{other.order}"
-                )
-            return other.coeffs, math.inf
-        if isinstance(other, Real):
-            return (float(other),) + (0.0,) * self.order, 0
-        return None
-
-    def _new(self, coeffs) -> "TaylorScalar":
-        return TaylorScalar(self.base_point, tuple(coeffs))
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._new(a + b for a, b in zip(self.coeffs, o[0]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._new(a - b for a, b in zip(self.coeffs, o[0]))
-
-    def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._new(b - a for a, b in zip(self.coeffs, o[0]))
-
-    def __neg__(self):
-        return self._new(-a for a in self.coeffs)
-
-    def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        (b, top), a = o, self.coeffs
-        nonzero = [not _all_zero(x) for x in a]
-        return self._new(_mul_k(a, b, k, nonzero, max(0, k - top)) for k in range(len(a)))
-
-    __rmul__ = __mul__
-
-    def _quotient(self, a, b) -> "TaylorScalar":
-        h = []
-        for k in range(len(a)):
-            h.append(_div_k(a, b, h, k, self.base_point))
-        return self._new(h)
-
-    def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._quotient(self.coeffs, o[0])
-
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._quotient(o[0], self.coeffs)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n == 0:
-            return TaylorScalar.constant(1.0, self.base_point, self.order)
-        if n < 0:
-            return (1.0 / self) ** (-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    # -- elementary functions (standard power-series recurrences) ----------
-
-    def exp(self) -> "TaylorScalar":
-        h = []
-        for k in range(len(self.coeffs)):
-            h.append(_exp_k(self.coeffs, h, k, math.inf, self.base_point))
-        return self._new(h)
-
-    def ln(self) -> "TaylorScalar":
-        h = []
-        for k in range(len(self.coeffs)):
-            h.append(_ln_k(self.coeffs, h, k, self.base_point))
-        return self._new(h)
-
-    def _sin_cos(self):
-        s, c = [], []
-        for k in range(len(self.coeffs)):
-            s_k, c_k = _sin_cos_k(self.coeffs, s, c, k, math.inf, self.base_point)
-            s.append(s_k)
-            c.append(c_k)
-        return self._new(s), self._new(c)
-
-    def sin(self) -> "TaylorScalar":
-        return self._sin_cos()[0]
-
-    def cos(self) -> "TaylorScalar":
-        return self._sin_cos()[1]
-
-    def tan(self) -> "TaylorScalar":
-        s, c = self._sin_cos()
-        _refuse_tan_pole(c.coeffs[0], self.base_point)
-        return s / c
+        return derivatives(self.coeffs[k : k + 1], k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +613,11 @@ class TaylorProgram:
     subexpression that reads no variable is a float, evaluated once here as
     eval_scalar would.  Beside a series it is a constant series, known to be
     0 past coefficient 0, so a product with it costs one term, 0.0 + a[k]*c,
-    a coefficient; a product with t costs two.  Each step runs the kernel that
-    TaylorScalar's operator runs, with the same operations for each
-    coefficient, so a program's finite values are those of TaylorScalar
-    arithmetic, bit for bit.  Every refusal reads coefficient 0, so a run
-    raises the first error that evaluating the tree node by node would meet.
+    a coefficient; a product with t costs two.  A term known to be 0 that is
+    left out changes no finite value (see the kernels), so a program gives
+    the bits of the full recurrences.  Every refusal reads coefficient 0, so
+    a run raises the first error that evaluating the tree node by node would
+    meet.
     """
 
     def __init__(self, expr: Expr, inputs: Mapping):

@@ -40,7 +40,8 @@ from .closed_form import MobiusFamily, family_derivs, family_fourth, family_pole
 from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, d_u, el_rhs, guarded, lagrangian, schwarzian
-from .symbolics import Expr, TaylorProgram, TaylorScalar, first_where, parse, taylor_eval, variables_of
+from .symbolics import (Const, Div, Expr, Func, Mul, Neg, Sub, TaylorProgram, TaylorScalar, Var, derivatives,
+                        first_where, parse, taylor_eval, variables_of)
 
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
@@ -266,8 +267,7 @@ class ExprVariation(VariationFn):
     @np.errstate(over="ignore", invalid="ignore")
     def derivs(self, t):
         # at an array, one batch of series based at every node
-        s = taylor_eval(self.program, {"t": TaylorScalar.variable(t, 3)})
-        return _rows((s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3)), t)
+        return _rows(derivatives(taylor_eval(self.program, {"t": TaylorScalar.variable(t, 3)}).coeffs), t)
 
     @np.errstate(over="ignore", invalid="ignore")
     def fourth(self, t):
@@ -275,6 +275,13 @@ class ExprVariation(VariationFn):
 
     def describe(self) -> str:
         return f"expr:{self.text}"
+
+
+# a * exp(-1/(1 - x^2)), compiled once for every bump: x's series is
+# ((t - center)/radius, 1/radius, 0, 0), 0 past coefficient 1, and the
+# amplitude a's is constant, so the product with it is 0.0 + c_k*a
+_BUMP = TaylorProgram(
+    Mul(Func("exp", Neg(Div(Const(1.0), Sub(Const(1.0), Mul(Var("x"), Var("x")))))), Var("a")), {"x": 1, "a": 0})
 
 
 @dataclass(frozen=True)
@@ -312,15 +319,13 @@ class BumpFn(VariationFn):
         inside = 1.0 - x0 * x0 > 1e-12
         if isinstance(t, np.ndarray):
             # where the bump vanishes, the series is taken at the centre and zeroed
-            at = np.where(inside, t, self.center)
+            x0 = np.where(inside, x0, 0.0)
         elif inside:
-            at = t
+            x0 = float(x0)
         else:
             return (0.0, 0.0, 0.0, 0.0)
-        x = self._x(TaylorScalar.variable(at, 3))
-        psi = (-(1.0 / (1.0 - x * x))).exp() * self.amplitude
-        values = (psi.coeffs[0], psi.derivative(1), psi.derivative(2), psi.derivative(3))
-        return _rows([d * inside for d in values], t)
+        inputs = {"x": (x0, 1.0 / self.radius, 0.0, 0.0), "a": (float(self.amplitude), 0.0, 0.0, 0.0)}
+        return _rows([d * inside for d in derivatives(_BUMP.run(t, inputs, 3))], t)
 
     def describe(self) -> str:
         return f"bump(center={self.center:g},radius={self.radius:g},amplitude={self.amplitude:g})"

@@ -144,10 +144,10 @@ def substitute(e: Expr, mapping) -> Expr:
 def mobius_of_jet(jet: Jet4, a: float, b: float, c: float, d: float) -> Jet4:
     """The jet of (a*u + b)/(c*u + d) at the same point, by Taylor
     composition on the jet data."""
-    from schwarzlab.symbolics import TaylorScalar
+    from schwarzlab.symbolics import TaylorScalar, parse, taylor_eval
 
     u = TaylorScalar(jet.t, (jet.u, jet.p, jet.q / 2.0, jet.r / 6.0))
-    s = (a * u + b) / (c * u + d)
+    s = taylor_eval(parse(f"({a!r}*u + {b!r})/({c!r}*u + {d!r})"), {"u": u})
     return Jet4(jet.t, s.coeffs[0], s.derivative(1), s.derivative(2), s.derivative(3))
 
 

@@ -289,13 +289,12 @@ def test_criterion_8b_ledger_frequency_constants():
         worst = max(worst, abs(schwarzian(jet) - sigma))
 
     # alternate constants: direct differentiation of the generators
-    tt = TaylorScalar.variable(0.3, 3)
-    g_exp = (tt * (2.0 * math.sqrt(c))).exp()
-    jet_exp = Jet4(0.3, g_exp.coeffs[0], g_exp.derivative(1), g_exp.derivative(2), g_exp.derivative(3))
-    s_exp = schwarzian(jet_exp)  # claimed -c, actually -2c
-    g_tan = (tt * math.sqrt(c)).tan()
-    jet_tan = Jet4(0.3, g_tan.coeffs[0], g_tan.derivative(1), g_tan.derivative(2), g_tan.derivative(3))
-    s_tan = schwarzian(jet_tan)  # claimed c, actually 2c
+    def generator_jet(text):
+        g = taylor_eval(parse(text), {"t": TaylorScalar.variable(0.3, 3)})
+        return Jet4(0.3, g.coeffs[0], g.derivative(1), g.derivative(2), g.derivative(3))
+
+    s_exp = schwarzian(generator_jet(f"exp({2.0 * math.sqrt(c)!r}*t)"))  # claimed -c, actually -2c
+    s_tan = schwarzian(generator_jet(f"tan({math.sqrt(c)!r}*t)"))  # claimed c, actually 2c
 
     ok = (
         worst <= 1e-10

@@ -3,8 +3,12 @@ config-file handling."""
 
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,31 @@ def test_integrate_bad_jet_exits_1(capsys):
     code, _, err = run(["integrate", "--jet", "0,0,1", "--t-end", "1"], capsys)
     assert code == 1
     assert "jet" in err
+
+
+@pytest.mark.parametrize("jet", ["0,0,1,1e200,1e200", "0,0,1,1e103,1e300", "0,0,1e300,1e300,1e300"])
+def test_integrate_where_F_is_nan_exits_1(jet):
+    # F = -3q^3/p^2 + 4qr/p is inf - inf or inf/inf there.  The solver's
+    # first step size would be NaN, which it neither accepts nor refuses, so
+    # the run is made in a subprocess whose timeout fails a hang in a minute
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "schwarzlab.cli", "integrate", "--jet", jet, "--t-end", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: F = nan at the initial jet")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("r", ["5e-324", "-5e-324"])
+def test_integrate_where_half_of_S_underflows_is_the_S_0_run(r, capsys):
+    # S = r here, and S/2 is 0: no period, no atanh(y)/k with k = 0
+    code, out, err = run(["integrate", "--jet", f"0,0,1,1e-300,{r}", "--t-end", "1"], capsys)
+    assert (code, err) == (0, "")
+    _, line, _ = run(["integrate", "--jet", "0,0,1,1e-300,0", "--t-end", "1"], capsys)
+    # F is 0 on both: the same steps, and the same t, u, p and q
+    rows = [[row.split(",")[:4] for row in text.splitlines()[1:]] for text in (out, line)]
+    assert rows[0] == rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +286,11 @@ W_OVERFLOWS = "W0 or W1 overflows or is not finite at the jet [0.5, 0.0, 1.0, 3.
                  "1.0142320547350045e+304^2 overflows the float range", id="linearize-power-of-exp-overflows"),
     pytest.param(["linearize", "--F", "(1e200*p)^2*r", "--base", "line", "--t", "0"],
                  "1e+200^2 overflows the float range", id="linearize-power-overflows"),
+    # a negative number with an exponent is a value, not a flag
+    pytest.param(["linearize", "--F", "(1e200*p)^2*r", "--base", "line", "--t", "-1e-3"],
+                 "1e+200^2 overflows the float range", id="linearize-t-negative-with-exponent"),
+    pytest.param(["family", "--sigma", "-1e-3", "--A", "1e308", "--D", "1e-308", "--jet-at", "0.5"],
+                 "the family member leaves the float range at t = 0.5", id="family-sigma-negative-with-exponent"),
     pytest.param(["invariants", "--F", "(1e200)^2*r", "--jet", "0,0,1,0,0"],
                  "1e+200^2 overflows the float range", id="invariants-constant-power-overflows"),
 ])
@@ -301,7 +335,8 @@ def test_linearize_base_json_matches_named_base(capsys):
     ["--mobius", '{"A":1,"B":0,"C":1,"D":-0.503,"sigma":0}', "--interval", "0,1"],
     ["--u", "1/(t-0.503)", "--interval", "0,1"],
     ["--u", "tan(t)", "--interval", "1,2"],
-], ids=["mobius", "simple-pole", "tan"])
+    ["--u", "1/t", "--interval", "-1e-3,1"],
+], ids=["mobius", "simple-pole", "tan", "interval-negative-with-exponent"])
 def test_variation_across_a_pole_exits_1(curve, capsys):
     code, out, err = run(["variation", *curve, "--n", "3", "--expect-critical"], capsys)
     assert code == 1
@@ -395,6 +430,9 @@ INVALID_JSON = [
     pytest.param(["family", "--sigma", "2", "--A", "1", "--B", "0", "--C", "0", "--D", "1", "--t0", "0", "--t1", "1e9"],
                  id="family-window-of-too-many-poles"),
     pytest.param(["integrate", "--jet=-1e308,0,1,0,-2", "--t-end=1e308"], id="integrate-span-overflows"),
+    pytest.param(["integrate", "--jet", "0,0,1,1e200,0", "--t-end", "1"], id="integrate-F-infinite"),
+    # w or k is 0, and the generator a constant
+    pytest.param(["family", "--sigma=5e-324", "--B", "1", "--C", "1", "--D", "0"], id="family-sigma-halves-to-0"),
     pytest.param(["variation", "--u", "t", "--interval", "0,0.0003", "--n", "2"],
                  id="variation-domain-narrower-than-the-residual-stencil"),
     pytest.param(["variation", "--u", "t", "--interval", "0,1e160", "--n", "1"],

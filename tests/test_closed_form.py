@@ -44,6 +44,20 @@ def test_family_class_by_sign():
 def test_degenerate_family_rejected():
     with pytest.raises(ValueError):
         MobiusFamily(1, 2, 2, 4, 0.0)
+    # w or k is 0, and the generator a constant
+    for sigma in (5e-324, -5e-324):
+        with pytest.raises(ValueError, match="halves to 0"):
+            MobiusFamily(1, 0, 0, 1, sigma)
+    assert MobiusFamily(1, 0, 0, 1, 1e-323).sigma == 1e-323
+
+
+@pytest.mark.parametrize("sigma", [5e-324, -5e-324])
+def test_generator_solve_where_half_of_sigma_underflows_is_that_of_sigma_0(sigma):
+    # G is analytic in sigma, and its sigma = 0 form, s, is the limit
+    for num, den in [(1.0, 2.0), (-3.0, 0.5), (1.0, 1e-300), (0.0, 1.0), (1.0, 0.0)]:
+        for public in (False, True):
+            want = generator_solve(0.0, num, den, -10.0, 10.0, public)
+            assert generator_solve(sigma, num, den, -10.0, 10.0, public) == want
 
 
 @pytest.mark.parametrize("text, message", [

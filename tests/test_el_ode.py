@@ -5,6 +5,7 @@ format."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -283,6 +284,22 @@ def test_floor_time_matches_a_scan_of_the_exact_slope(sigma, p, c):
         scanned.append(0.5 * (a + b))
     assert scanned, "no crossing of the floor in the window"
     assert el_ode._floor_times(sigma, p, c, lo, hi) == pytest.approx(scanned, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("p, c", [(1e-5, 1.0), (-4e-6, -0.5)])
+def test_floor_times_where_k_underflows_are_those_of_sigma_0(p, c):
+    # -sigma/2 is 0: the quadratic in z would have k = 0, so the one in G is taken
+    want = el_ode._floor_times(0.0, p, c, -60.0, 60.0)
+    assert want
+    assert el_ode._floor_times(-5e-324, p, c, -60.0, 60.0) == want
+
+
+@pytest.mark.parametrize("jet, f", [((0.0, 0.0, 1.0, 1e200, 0.0), "-inf"), ((0.0, 0.0, 1.0, 1e200, 1e200), "nan")])
+def test_jet_where_F_is_not_finite_is_refused_before_the_solve(jet, f, monkeypatch):
+    # F on float64, as the solver computes it; no step can be taken there
+    monkeypatch.setattr(el_ode, "solve_ivp", None)
+    with pytest.raises(ValueError, match=re.escape(f"F = {f} at the initial jet {jet}")):
+        integrate(Jet4(*jet), 1.0, 1e-10)
 
 
 def sweep_runs():

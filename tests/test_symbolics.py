@@ -1,4 +1,4 @@
-"""Parser, symbolic differentiation, Taylor arithmetic, and formal-solution
+"""Parser, symbolic differentiation, Taylor series, and formal-solution
 tests, including the module's pointwise-equality invariants."""
 
 import math
@@ -23,6 +23,7 @@ from schwarzlab.symbolics import (
     Pow,
     TaylorScalar,
     Var,
+    derivatives,
     differentiate,
     eval_scalar,
     fold,
@@ -254,17 +255,15 @@ def test_taylor_exponential():
 
 def test_taylor_mismatch_errors():
     a = TaylorScalar.variable(0.0, 3)
-    b = TaylorScalar.variable(1.0, 3)
-    with pytest.raises(SeriesMismatchError):
-        _ = a + b
-    with pytest.raises(SeriesMismatchError):
-        taylor_eval(parse("t+u"), {"t": a, "u": TaylorScalar.variable(0.0, 4)})
+    for other in (TaylorScalar.variable(1.0, 3), TaylorScalar.variable(0.0, 4)):
+        with pytest.raises(SeriesMismatchError):
+            taylor_eval(parse("t+u"), {"t": a, "u": other})
 
 
 def test_taylor_division_by_zero_series():
-    z = TaylorScalar.constant(0.0, 0.0, 3)
-    with pytest.raises(EvalDomainError):
-        _ = TaylorScalar.constant(1.0, 0.0, 3) / z
+    z = TaylorScalar(0.0, (0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(EvalDomainError, match="series division by a series with zero constant term at t = 0.0"):
+        taylor_eval(parse("1/u"), {"u": z})
 
 
 def test_taylor_consistency_against_symbolic_derivatives():
@@ -362,10 +361,13 @@ def test_formal_solution_derivative_series_consistency():
 
 
 def test_taylor_termwise_derivative():
-    s = taylor_eval(parse("exp(t)"), {"t": TaylorScalar.variable(0.0, 4)})
-    d = s.deriv()
-    assert d.order == 3
-    assert np.allclose(d.coeffs, s.coeffs[:4], rtol=0, atol=1e-15)  # exp' = exp
+    # the termwise derivative of a series is the series of the symbolic derivative
+    e = parse("sin(2*t)*exp(t)/(1 + t^2)")
+    s = taylor_eval(e, {"t": TaylorScalar.variable(0.3, 5)})
+    d = taylor_eval(differentiate(e, "t"), {"t": TaylorScalar.variable(0.3, 4)})
+    assert np.allclose([(k + 1) * s.coeffs[k + 1] for k in range(5)], d.coeffs, rtol=1e-14, atol=0)
+    assert derivatives(s.coeffs) == [s.derivative(k) for k in range(6)]
+    assert derivatives(s.coeffs)[:5] == [math.factorial(k) * s.coeffs[k] for k in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +380,21 @@ def _at_point(s, i):
                         tuple(float(c[i]) if isinstance(c, np.ndarray) else c for c in s.coeffs))
 
 
+# expressions over two general batch series u and p, and t's own series
 BATCH_OPS = {
-    "add": lambda a, b, x: a + b,
-    "sub": lambda a, b, x: a - b,
-    "mul": lambda a, b, x: a * b,
-    "div": lambda a, b, x: a / b,
-    "pow": lambda a, b, x: a ** 3,
-    "neg": lambda a, b, x: -a,
-    "sin": lambda a, b, x: a.sin(),
-    "cos": lambda a, b, x: a.cos(),
-    "tan": lambda a, b, x: a.tan(),
-    "exp": lambda a, b, x: a.exp(),
-    "ln": lambda a, b, x: a.ln(),
-    # float and array coefficients mixed, and floats lifted to series
-    "mixed": lambda a, b, x: (2.0 - x * a) / (1.5 + x) + 0.5 * x ** 2,
+    "add": "u + p",
+    "sub": "u - p",
+    "mul": "u*p",
+    "div": "u/p",
+    "pow": "u^3",
+    "neg": "-u",
+    "sin": "sin(u)",
+    "cos": "cos(u)",
+    "tan": "tan(u)",
+    "exp": "exp(u)",
+    "ln": "ln(u)",
+    # float and array coefficients mixed, and constants beside series
+    "mixed": "(2 - t*u)/(1.5 + t) + 0.5*t^2",
 }
 
 
@@ -406,10 +409,11 @@ def test_batch_series_equals_the_scalar_series_at_every_point(op):
         coeffs[2][::3] = 0.0  # zero at some points only
         return TaylorScalar(ts, tuple(coeffs))
 
-    a, b, x = batch(), batch(), TaylorScalar.variable(ts, order)
-    got = BATCH_OPS[op](a, b, x)
+    e = parse(BATCH_OPS[op])
+    env = {"u": batch(), "p": batch(), "t": TaylorScalar.variable(ts, order)}
+    got = taylor_eval(e, env)
     for i in range(n):
-        want = BATCH_OPS[op](_at_point(a, i), _at_point(b, i), _at_point(x, i))
+        want = taylor_eval(e, {name: _at_point(series, i) for name, series in env.items()})
         assert [np.broadcast_to(c, (n,))[i] for c in got.coeffs] == list(want.coeffs)
 
 

@@ -1,5 +1,6 @@
-"""The compiled Taylor program against the bits of the tree walk it
-replaced, float against batch, and the relaxed sweep of formal_solution."""
+"""The compiled Taylor program against the bits of the tree walk and the
+series operators it replaced, float against batch, and the relaxed sweep of
+formal_solution."""
 
 import hashlib
 import math
@@ -10,6 +11,7 @@ import pytest
 from schwarzlab import symbolics
 from schwarzlab.schwarzian import EL_FIELD_TEXT, Jet4
 from schwarzlab.symbolics import TaylorProgram, TaylorScalar, formal_solution, parse, taylor_eval
+from schwarzlab.variation import BumpFn
 
 # One expression per node kind: + - * / with a constant or t on either side,
 # integer powers, unary minus and every function.  u is a general series.
@@ -41,6 +43,10 @@ PIN_FIELDS = {
 }
 
 
+# (center, radius, amplitude): a negative and a zero amplitude among them
+PIN_BUMPS = [(0.5, 0.3, 0.8), (-1.25, 0.05, -2.0), (3.0, 1.7, 1.0), (0.2, 0.1, 0.0), (1e3, 2.5, 1e-3)]
+
+
 def _batch_u():
     c1 = 0.5 - PIN_TS
     c1[::4] = 0.0
@@ -63,6 +69,20 @@ def _field_digest(name):
     text, jet = PIN_FIELDS[name]
     env = formal_solution(parse(text), jet, 6)
     return _digest(env[v].coeffs for v in "tupqr")
+
+
+def _bump_digest():
+    """BumpFn.derivs of each pinned bump at floats (the centre, inside,
+    on the edge of the support and outside it) and on a 20-node array that
+    reaches past both ends."""
+    rows = []
+    for center, radius, amplitude in PIN_BUMPS:
+        bump = BumpFn(center, radius, amplitude)
+        ts = center + radius * np.linspace(-1.2, 1.2, 20)
+        for t in [center, center + 0.999 * radius, center - 0.5 * radius, center + radius, *ts.tolist()]:
+            rows.extend(bump.derivs(t))
+        rows.extend(bump.derivs(ts))
+    return _digest(rows)
 
 
 def _ufunc_digest():
@@ -110,6 +130,9 @@ PINNED_FIELDS = {
     "EL": "d8435ac8a32897f5",
     "ufuncs": "a9654184797a6b71",
 }
+# Recorded from BumpFn.derivs on TaylorScalar's operators, before its jets
+# ran through a TaylorProgram
+PINNED_BUMPS = "4b94982a78dbbf34"
 
 
 def _skip_unless_recorded_kernels(ufuncs: bool):
@@ -133,9 +156,14 @@ def test_formal_solution_keeps_its_bits(name):
     assert _field_digest(name) == PINNED_FIELDS[name]
 
 
+def test_bump_derivs_keep_their_bits():
+    _skip_unless_recorded_kernels(True)
+    assert _bump_digest() == PINNED_BUMPS
+
+
 @pytest.mark.parametrize("text", NODE_KINDS)
 def test_taylor_eval_batch_equals_the_scalar_path_for_every_node_kind(text):
-    # the program's steps act element by element, as TaylorScalar's do
+    # the program's steps act element by element
     e = parse(text)
     u = _batch_u()
     got = taylor_eval(e, {"t": TaylorScalar.variable(PIN_TS, 5), "u": TaylorScalar(PIN_TS, u)})
