@@ -17,7 +17,10 @@ at the integrand's breakpoints and each panel is bisected until the two
 trailing coefficients of its CHEB_N-point Chebyshev interpolant are
 negligible; the panel's integral is then exact for that interpolant.  The
 walk goes one bisection level at a time, so each level is sampled in one
-call, and DuSolution reads W at any set of nodes in one Clenshaw pass.
+call.  The walk of W over a lone bump samples the bump's whole panel tree
+in one call before the first level, so a critical_test probe samples W's
+integrand once, and DuSolution reads W at any set of nodes in one Clenshaw
+pass.
 
 A function of t is immutable once built, and each one keeps a memo of its
 last MEMO_SIZE derivs reads, so it computes its jets once per set of points:
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -61,6 +64,10 @@ FORMS = ("direct", "by_parts", "du_factored", "schwarzian")
 # wide, and a probe with |delta| > CRITICAL_THRESHOLD is a witness
 CRITICAL_EPS = 0.05
 CRITICAL_THRESHOLD = 1e-4
+# critical_test's accuracy gates: the largest D_u residual and the largest
+# endpoint residual of its probes that a report passes
+CRITICAL_DU_GATE = 1e-9
+CRITICAL_ENDPOINT_GATE = 1e-10
 
 # derivs reads each function of t keeps, the most recent ones
 MEMO_SIZE = 8
@@ -82,7 +89,7 @@ _CHEB_FIT[0] /= 2.0
 _CHEB_INT = chebint(np.eye(CHEB_N), lbnd=-1.0)
 
 
-def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list:
+def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expected=()) -> list:
     """Chebyshev panels that resolve an integrand on [a, b], left to right.
 
     sample(ts) gives the integrand at a 1-D array of nodes ts, one row a node
@@ -95,9 +102,15 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
     not finite, and past CHEB_MAX_PANELS panels.
 
     The walk goes one bisection level at a time: each level is sampled in one
-    sample call over the nodes of all of its panels, and each panel is then
-    fitted on its own, as a batched product would round differently.  So
-    every panel is the one a walk panel by panel would give, bit for bit."""
+    sample call over the nodes of the panels it lacks a fit for, and each
+    panel is then fitted on its own, as a batched product would round
+    differently.  expected, (lo, hi) pairs, are the panels the caller
+    expects the walk to reach: they are sampled together in one call before
+    the first level, so a walk whose guess holds samples once.  If that
+    call raises, the walk goes on without it, and an expected panel the
+    walk does not reach is never tested.  As a node's value does not depend
+    on the other nodes of its array, every panel is the one a walk panel by
+    panel would give, bit for bit, and so is every error."""
     # a sample that is not finite is refused below, by its panel's tail, so
     # numpy does not warn of it first
     @np.errstate(over="ignore", invalid="ignore")
@@ -105,11 +118,27 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0) -> list
         values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
         return [_CHEB_FIT @ v for v in values.reshape((len(level), CHEB_N) + values.shape[1:])]
 
+    # the fits of expected panels that no level has taken yet
+    ready = {}
+    if expected:
+        try:
+            ready = dict(zip(expected, fit(expected)))
+        except Exception:
+            # dropped: a level that reaches the node that raised raises it
+            # again, and a walk that reaches none of them does not raise
+            pass
     edges = sorted({a, b} | {float(x) for x in breakpoints if a < x < b})
     level = list(zip(edges[:-1], edges[1:]))
     done, tol = [], None
     while level:
-        coefs = fit(level)
+        # while expected fits are left, a level samples only the panels it lacks
+        if ready:
+            lacking = [panel for panel in level if panel not in ready]
+            if lacking:
+                ready.update(zip(lacking, fit(lacking)))
+            coefs = [ready.pop(panel) for panel in level]
+        else:
+            coefs = fit(level)
         if tol is None:
             tol = max(CHEB_TAIL * max(np.abs(coef).max() for coef in coefs), floor)
         halves = []
@@ -331,6 +360,24 @@ class BumpFn(VariationFn):
         return f"bump(center={self.center:g},radius={self.radius:g},amplitude={self.amplitude:g})"
 
 
+@cache
+def _bump_leaves() -> frozenset:
+    """The panels, in x, of the walk over the bare profile exp(-1/(1 - x^2))
+    on [-1, 1]; found on the first walk over a bump."""
+    return frozenset((lo, hi) for lo, hi, _ in _panels(BumpFn(0.0, 1.0).value, -1.0, 1.0, ()))
+
+
+def _bump_tree(lo: float, hi: float, x: tuple = (-1.0, 1.0)) -> list:
+    """The panels a walk over a lone bump's support [lo, hi] is expected to
+    reach: the walk over the bare profile, each panel it bisected among
+    them, replayed on [lo, hi] with the walk's own midpoints, so each panel
+    is the same floats as the walk's."""
+    if x in _bump_leaves():
+        return [(lo, hi)]
+    m, xm = 0.5 * (lo + hi), 0.5 * (x[0] + x[1])
+    return [(lo, hi)] + _bump_tree(lo, m, (x[0], xm)) + _bump_tree(m, hi, (xm, x[1]))
+
+
 class LinearCombination(VariationFn):
     """sum_i coef_i * v_i of existing variations (curves among them)."""
 
@@ -446,6 +493,11 @@ class DuSolution(VariationFn):
     to phi/u' at any scale.  Since D_u(v) = phi, the Schwarzian form of
     delta I_S along v integrates S(u) phi/u'; that integral comes from the
     same panel jets as `schwarzian_integral`.
+
+    When phi is a BumpFn, the walk is handed the panels it is expected to
+    reach: the two panels outside the support and the bump's panel tree on
+    it (_bump_tree), all sampled in one call.  The panels are those of the
+    walk without them, bit for bit.
     """
 
     def __init__(self, u: CurveFn, phi: VariationFn, v0: float):
@@ -466,7 +518,11 @@ class DuSolution(VariationFn):
                 fg[live, 0], fg[live, 1] = f / j.p, s * f / j.p
             return fg
 
-        panels = _panels(sample, self.t0, self.t1, phi.breakpoints)
+        expected = ()
+        if isinstance(phi, BumpFn):
+            lo, hi = phi.support
+            expected = [(self.t0, lo), *_bump_tree(lo, hi), (hi, self.t1)]
+        panels = _panels(sample, self.t0, self.t1, phi.breakpoints, 0.0, expected)
         # running (W, int S phi/u') at the right end of each panel
         totals = np.cumsum([antideriv.sum(axis=0) for *_, antideriv in panels], axis=0)
         # per panel: its ends, W at its left end, and in a column the
@@ -750,6 +806,16 @@ class CriticalReport:
     def is_critical(self) -> bool:
         return self.witness is None
 
+    @property
+    def endpoint_check_passed(self) -> bool:
+        """The verdict of the endpoint gate: max_endpoint_residual <= CRITICAL_ENDPOINT_GATE."""
+        return self.max_endpoint_residual <= CRITICAL_ENDPOINT_GATE
+
+    @property
+    def du_check_passed(self) -> bool:
+        """The verdict of the D_u gate: max_du_residual <= CRITICAL_DU_GATE."""
+        return self.max_du_residual <= CRITICAL_DU_GATE
+
     def to_dict(self) -> dict:
         return {
             "u": self.curve,
@@ -760,6 +826,8 @@ class CriticalReport:
             "witness": self.witness,
             "max_endpoint_residual": self.max_endpoint_residual,
             "max_du_residual": self.max_du_residual,
+            "endpoint_check_passed": self.endpoint_check_passed,
+            "du_check_passed": self.du_check_passed,
         }
 
 

@@ -367,6 +367,21 @@ def test_variation_mobius_is_critical(capsys):
     assert payload["max_delta"] <= 1e-8
 
 
+def test_variation_reports_a_failed_du_check_and_keeps_its_exit_code(capsys):
+    # on [0, 1e11] the D_u check's difference stencil, of step 1e-4, cannot
+    # resolve v' at the domain's scale, so its residual misses the 1e-9
+    # gate; the report says so, and --expect-critical still reads only the
+    # witness
+    for flags in ([], ["--expect-critical"]):
+        code, out, _ = run(["variation", "--u", "t", "--interval", "0,1e11", "--n", "1", *flags], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witness"] is None
+        assert payload["max_du_residual"] > 1e-9
+        assert payload["du_check_passed"] is False
+        assert payload["endpoint_check_passed"] is True
+
+
 def test_variation_deterministic_with_seed(capsys):
     argv = ["variation", "--u", "exp(2*t)", "--interval", "0,1", "--n", "3", "--seed", "9"]
     _, out1, _ = run(argv, capsys)

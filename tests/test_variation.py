@@ -3,6 +3,7 @@ the integrating-factor solver, admissible variations, and the critical-point
 test."""
 
 import bisect
+import dataclasses
 import math
 import re
 
@@ -543,6 +544,24 @@ def test_critical_tan_fails_with_witness():
     assert report.max_du_residual <= 1e-9
 
 
+def test_critical_report_verdicts_are_the_gates_read_off_its_fields():
+    report = critical_test(ExprCurve("tan(t)", (0.1, 1.0)), 0.1, 1.0, 2, seed=5)
+    assert report.endpoint_check_passed and report.du_check_passed
+    # properties, not fields: the repr and dataclasses.replace are unchanged
+    assert "check_passed" not in repr(report)
+    du, endpoint = variation.CRITICAL_DU_GATE, variation.CRITICAL_ENDPOINT_GATE
+    for du_resid, endpoint_resid, verdicts in [
+        (du, endpoint, (True, True)),
+        (math.nextafter(du, 1.0), endpoint, (True, False)),
+        (du, math.nextafter(endpoint, 1.0), (False, True)),
+        (math.nan, math.nan, (False, False)),
+    ]:
+        judged = dataclasses.replace(report, max_du_residual=du_resid, max_endpoint_residual=endpoint_resid)
+        assert (judged.endpoint_check_passed, judged.du_check_passed) == verdicts
+        payload = judged.to_dict()
+        assert (payload["endpoint_check_passed"], payload["du_check_passed"]) == verdicts
+
+
 def test_critical_interval_must_be_the_domain():
     # the variations live on the curve's domain: probing a sub-interval
     # would mix the two
@@ -848,12 +867,15 @@ def depth_first_panels(sample, a, b, breakpoints, floor=0.0):
 
 
 def captured_walk(monkeypatch, build):
-    """(sample, a, b, breakpoints) of the one _panels walk that build() makes."""
+    """(sample, a, b, breakpoints, floor, expected) of the one _panels walk
+    that build() makes, each input as the walk reads it."""
     walks, panels = [], variation._panels
+    # the walk that derives the bump's panel tree, on the first walk over a bump, is not build()'s
+    variation._bump_leaves()
 
-    def capture(sample, *args):
-        walks.append((sample, *args))
-        return panels(sample, *args)
+    def capture(sample, a, b, breakpoints, floor=0.0, expected=()):
+        walks.append((sample, a, b, breakpoints, floor, expected))
+        return panels(sample, a, b, breakpoints, floor, expected)
 
     monkeypatch.setattr(variation, "_panels", capture)
     build()
@@ -865,18 +887,32 @@ def captured_walk(monkeypatch, build):
 TAN = ExprCurve("tan(t)", (0.1, 1.4))
 TWO_BUMPS = LinearCombination([(1.0, BumpFn(0.35, 0.15, 1.2)), (-0.7, BumpFn(0.7, 0.2, 0.9))])
 
-# (sample, a, b, breakpoints, floor) of one walk each
+# (curve, bump) of DuSolution walks over one bump: its panel tree holds on a
+# tan and a sigma != 0 Moebius curve; exp(8t)'s integrand needs panels below
+# the tree, and tan(t - 0.5)'s, whose 1/u' vanishes at the support's ends,
+# leaves some of the tree's panels unreached
+LONE_BUMPS = {
+    "tan": (TAN, BumpFn(0.8, 0.3, 1.1)),
+    "mobius": (MobiusCurve(MobiusFamily(1.0, 0.3, 0.2, 1.0, 1.5), (0.0, 1.0)), BumpFn(0.5, 0.3, 0.8)),
+    "deeper": (ExprCurve("exp(8*t)", (0.0, 1.0)), BumpFn(0.5, 0.4)),
+    "shallower": (ExprCurve("tan(t - 0.5)", (-1.0, 2.0)), BumpFn(0.5, 1.5)),
+}
+
+# (sample, a, b, breakpoints, floor, expected) of one walk each
 WALKS = {
-    "tan-curve": lambda mp: (lambda ts: lagrangian(TAN.jet(ts)), 0.1, 1.4, (), variation.QUAD_EPS),
-    "two-bump-du-solution": lambda mp: (*captured_walk(mp, lambda: solve_du(TAN, TWO_BUMPS, 0.0)), 0.0),
-    "sin-40t": lambda mp: (ExprVariation("sin(40*t)").value, 0.0, 3.0, (1.0,), variation.QUAD_EPS),
+    "tan-curve": lambda mp: (lambda ts: lagrangian(TAN.jet(ts)), 0.1, 1.4, (), variation.QUAD_EPS, ()),
+    "two-bump-du-solution": lambda mp: captured_walk(mp, lambda: solve_du(TAN, TWO_BUMPS, 0.0)),
+    "sin-40t": lambda mp: (ExprVariation("sin(40*t)").value, 0.0, 3.0, (1.0,), variation.QUAD_EPS, ()),
+    **{f"lone-bump-{kind}": lambda mp, u=u, phi=phi: captured_walk(mp, lambda: solve_du(u, phi, 0.0))
+       for kind, (u, phi) in LONE_BUMPS.items()},
 }
 
 
 @pytest.mark.parametrize("kind", sorted(WALKS))
 def test_panels_by_level_arrays_equal_the_depth_first_walk(kind, monkeypatch):
-    sample, a, b, breakpoints, floor = WALKS[kind](monkeypatch)
-    got = variation._panels(sample, a, b, breakpoints, floor)
+    sample, a, b, breakpoints, floor, expected = WALKS[kind](monkeypatch)
+    assert bool(expected) == kind.startswith("lone-bump")
+    got = variation._panels(sample, a, b, breakpoints, floor, expected)
     want = depth_first_panels(sample, a, b, breakpoints, floor)
     assert len(got) == len(want) > len(breakpoints) + 4  # the walk bisected
     for (lo, hi, antideriv), (lo_want, hi_want, antideriv_want) in zip(got, want):
@@ -886,7 +922,8 @@ def test_panels_by_level_arrays_equal_the_depth_first_walk(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(WALKS))
 def test_panels_by_level_arrays_sample_once_per_level(kind, monkeypatch):
-    sample, a, b, breakpoints, floor = WALKS[kind](monkeypatch)
+    # the walk with no expected panels
+    sample, a, b, breakpoints, floor, _ = WALKS[kind](monkeypatch)
     nodes = []
 
     def counted(ts):
@@ -909,6 +946,109 @@ def test_panels_by_level_arrays_sample_once_per_level(kind, monkeypatch):
     assert sum(nodes) == variation.CHEB_N * (initial + 2 * (len(done) - initial))
 
 
+def reached_panels(sample, a, b, breakpoints, floor):
+    """The panels a walk samples, level by level: those of the depth-first
+    walk and every panel it bisected."""
+    leaves = {(lo, hi) for lo, hi, _ in depth_first_panels(sample, a, b, breakpoints, floor)}
+    edges = sorted({a, b} | {float(x) for x in breakpoints if a < x < b})
+    level, levels = list(zip(edges[:-1], edges[1:])), []
+    while level:
+        levels.append(level)
+        level = [half for lo, hi in level if (lo, hi) not in leaves
+                 for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+    return levels
+
+
+@pytest.mark.parametrize("kind", sorted(LONE_BUMPS))
+def test_panel_tree_walk_samples_the_tree_once_then_what_it_lacks_by_level(kind, monkeypatch):
+    sample, a, b, breakpoints, floor, expected = WALKS[f"lone-bump-{kind}"](monkeypatch)
+    nodes = []
+
+    def counted(ts):
+        nodes.append(len(ts))
+        return sample(ts)
+
+    variation._panels(counted, a, b, breakpoints, floor, expected)
+    levels = reached_panels(sample, a, b, breakpoints, floor)
+    reached = {panel for level in levels for panel in level}
+    lacking = [[panel for panel in level if panel not in set(expected)] for level in levels]
+    # the tree in one call, then each level that reaches past it in one call
+    assert nodes == [variation.CHEB_N * len(expected)] + [variation.CHEB_N * len(level) for level in lacking if level]
+    if kind == "deeper":
+        assert len(nodes) > 1
+    else:
+        # the tree holds: a single sample call
+        assert len(nodes) == 1
+    if kind == "shallower":
+        assert reached < set(expected)
+    elif kind != "deeper":
+        assert reached == set(expected)
+
+
+def test_panel_tree_walk_samples_once_on_random_bumps(monkeypatch):
+    # on u = t, W's integrand is the bump itself, so its tree holds on every
+    # support: a replay whose midpoints were not the walk's own floats would
+    # miss some of the walk's panels on a few percent of these supports
+    u = ExprCurve("t", (0.0, 1.0))
+    rng = np.random.default_rng(3)
+    calls, panels = [], variation._panels
+    variation._bump_leaves()
+
+    def counted(sample, *args):
+        calls.append(0)
+
+        def counted_sample(ts):
+            calls[-1] += 1
+            return sample(ts)
+
+        return panels(counted_sample, *args)
+
+    monkeypatch.setattr(variation, "_panels", counted)
+    for _ in range(300):
+        center = rng.uniform(0.2, 0.8)
+        solve_du(u, BumpFn(center, rng.uniform(0.3, 0.9) * min(center, 1.0 - center), 1.0), 0.0)
+    assert calls == [1] * 300
+
+
+# a synthetic integrand on the bare bump's walk over [-1, 1]: the profile,
+# with a fault at the nodes of one panel, one the walk reaches or one that
+# only the expected panels hold, below a panel the walk does not bisect
+FAULTY_PANELS = {"reached": (0.9375, 0.96875), "unreached": (0.5, 0.625)}
+
+
+@pytest.mark.parametrize("where", sorted(FAULTY_PANELS))
+@pytest.mark.parametrize("fault", ["raises", "nan"])
+def test_panel_tree_walk_raises_what_the_level_walk_raises(fault, where):
+    lo, hi = FAULTY_PANELS[where]
+    bad = 0.5 * (lo + hi) + 0.5 * (hi - lo) * variation._CHEB_NODES
+    profile = BumpFn(0.0, 1.0).value
+
+    def sample(ts):
+        hit = np.isin(ts, bad)
+        if fault == "raises" and hit.any():
+            raise EvalDomainError(f"no value on [{lo}, {hi}]")
+        return np.where(hit, np.nan, profile(ts))
+
+    expected = variation._bump_tree(-1.0, 1.0) + [(0.5, 0.625), (0.625, 0.75)]
+
+    def outcome(*expected):
+        try:
+            return variation._panels(sample, -1.0, 1.0, (), 0.0, *expected)
+        except Exception as error:
+            return type(error), str(error)
+
+    want = outcome()
+    got = outcome(expected)
+    if where == "reached":
+        assert got == want
+        assert want[0] is (EvalDomainError if fault == "raises" else QuadratureError)
+        assert f"[{lo:g}, {hi:g}]" in want[1]
+    else:
+        # never tested, so the walk is the one without a fault
+        assert [(p, q, c.tobytes()) for p, q, c in got] == [(p, q, c.tobytes()) for p, q, c in want]
+        assert len(want) == 12
+
+
 def test_du_solution_cumulative_arrays_equal_per_panel_chebval(monkeypatch):
     from numpy.polynomial.chebyshev import chebval
 
@@ -918,7 +1058,7 @@ def test_du_solution_cumulative_arrays_equal_per_panel_chebval(monkeypatch):
         nonlocal v
         v = solve_du(TAN, TWO_BUMPS, 0.3)
 
-    sample, a, b, breakpoints = captured_walk(monkeypatch, build)
+    sample, a, b, breakpoints, *_ = captured_walk(monkeypatch, build)
     # W panel by panel, as a walk over the panels with one chebval each
     pieces, total = [], np.zeros(2)
     for lo, hi, antideriv in variation._panels(sample, a, b, breakpoints):

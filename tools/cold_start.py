@@ -42,6 +42,7 @@ COMMANDS = (
     (("linearize", "--field", "EL", "--base", "exp", "--t", "0.3"), 0),
     (("variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "50", "--expect-critical"), 3),
     (("variation", "--u", "1/(t-0.503)", "--interval", "0,1", "--n", "3"), 1),
+    (("variation", "--u", "t", "--interval", "0,1e11", "--n", "1"), 0),
 )
 
 
