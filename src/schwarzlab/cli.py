@@ -328,7 +328,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return args.func(args)
-    except (SchwarzLabError, ValueError, OSError) as exc:
+    # input nested deeper than Python's recursion limit is bad input too
+    except (SchwarzLabError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

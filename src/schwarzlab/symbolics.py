@@ -5,15 +5,15 @@ five-variable expression trees (over t, u, p, q, r) are evaluated at floats
 by a walk of the tree, and on truncated power series by a TaylorProgram: the
 tree compiled once into straight-line steps over series slots, run one
 coefficient at a time on floats or on equal-length arrays (a batch).  The
-program is the package's one series engine.  Its steps call one kernel per
-recurrence (product, quotient, exp, ln, sin/cos), and a constant's
-coefficients past 0 are known to be 0, so a product with it is one term a
-coefficient.  TaylorScalar is the series a run returns, and derivatives is
-the one place that turns coefficients into derivatives.  formal_solution
-fills the series of the formal solution of u'''' = F in one relaxed sweep of
-F's program.  Series evaluation along that solution is how every total
-derivative in the package is computed, so there is no finite-difference
-noise anywhere in the invariant formulas.
+program is the package's one series engine.  Each step is its recurrence
+(sum, product, quotient, exp, ln, sin/cos), and products skip only the
+coefficients known to be 0: a constant's past coefficient 0, so a product
+with it is one term a coefficient.  TaylorScalar is the series a run
+returns, and derivatives is the one place that turns coefficients into
+derivatives.  formal_solution fills the series of the formal solution of
+u'''' = F in one relaxed sweep of F's program.  Series evaluation along that
+solution is how every total derivative in the package is computed, so there
+is no finite-difference noise anywhere in the invariant formulas.
 
 numpy's ufuncs evaluate exp, ln, sin and cos, and tan as sin/cos, on every
 path: at a float, in a series at a float, and in a batch.  numpy gives the
@@ -48,7 +48,7 @@ EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
-# Truncated Taylor series: one kernel per recurrence
+# Truncated Taylor series
 # ---------------------------------------------------------------------------
 
 def first_where(mask, points):
@@ -82,84 +82,6 @@ def _refuse(mask, message: str, points) -> None:
     t = first_where(mask, points)
     if t is not None:
         raise EvalDomainError(f"{message} at t = {t}")
-
-
-def _all_zero(x) -> bool:
-    """Whether a coefficient is 0 at every point.  x == 0.0 is a bool for a
-    float and an array for a batch."""
-    zero = x == 0.0
-    return zero is True or (zero is not False and zero.all())
-
-
-# The kernels give coefficient k of a result from coefficients 0..k of its
-# operands and 0..k-1 of itself, so a series can be filled one coefficient
-# at a time.  Coefficient 0 holds each function's refusals and its ufunc.
-# Sums run left to right in a plain loop, as builtin sum() on floats
-# compensates its rounding from Python 3.12 on and on arrays does not; a
-# sum from +0.0 is never -0, so a term that is +-0, such as a product with a
-# coefficient that is 0, changes none of its finite values when left out.
-
-def _mul_k(a, b, k: int, nonzero, lo: int):
-    """Coefficient k of a*b: a[i]*b[k-i] summed over i = lo..k where
-    nonzero[i] holds.  nonzero leaves out the a[i] that are 0 at every
-    point, and lo the b[k-i] known to be 0."""
-    acc = 0.0
-    for i in range(lo, k + 1):
-        if nonzero[i]:
-            acc += a[i] * b[k - i]
-    return acc
-
-
-def _div_k(a, b, h, k: int, points):
-    """Coefficient k of a/b, given h, its coefficients 0..k-1."""
-    if k == 0:
-        _refuse(b[0] == 0.0, "series division by a series with zero constant term", points)
-    # acc = acc - ..., not -=, which would write into an array coefficient
-    acc = a[k]
-    for j in range(k):
-        acc = acc - h[j] * b[k - j]
-    return acc / b[0]
-
-
-def _exp_k(g, h, k: int, top, points):
-    """Coefficient k of exp(g), given h, its coefficients 0..k-1; g[j] is
-    known to be 0 for j > top."""
-    if k == 0:
-        _refuse(g[0] > EXP_ARG_MAX, "exp overflows the float range", points)
-        return _ufunc("exp", g[0])
-    acc = 0.0
-    for j in range(1, min(k, top) + 1):
-        acc += j * g[j] * h[k - j]
-    return acc / k
-
-
-def _ln_k(g, h, k: int, points):
-    """Coefficient k of ln(g), given h, its coefficients 0..k-1."""
-    if k == 0:
-        _refuse(g[0] <= 0.0, "ln of a non-positive series value", points)
-        return _ufunc("ln", g[0])
-    acc = g[k]
-    for j in range(1, k):
-        acc = acc - (j / k) * h[j] * g[k - j]
-    return acc / g[0]
-
-
-def _sin_cos_k(g, s, c, k: int, top, points) -> tuple:
-    """Coefficients k of sin(g) and cos(g), given s and c, their
-    coefficients 0..k-1; g[j] is known to be 0 for j > top."""
-    if k == 0:
-        _refuse(abs(g[0]) == math.inf, "sin, cos or tan of an infinite series value", points)
-        return _ufunc("sin", g[0]), _ufunc("cos", g[0])
-    acc_s = acc_c = 0.0
-    for j in range(1, min(k, top) + 1):
-        acc_s += j * g[j] * c[k - j]
-        acc_c += j * g[j] * s[k - j]
-    return acc_s / k, -acc_c / k
-
-
-def _refuse_tan_pole(cos0, points) -> None:
-    """tan(g) is sin(g)/cos(g); refuse it where |cos(g)| is below TAN_POLE_TOL."""
-    _refuse(abs(cos0) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}", points)
 
 
 def derivatives(coeffs, first: int = 0) -> list:
@@ -526,8 +448,15 @@ def eval_scalar(e: Expr, env) -> float:
 # Evaluation on series: an Expr compiled into a Taylor program
 # ---------------------------------------------------------------------------
 
-# The steps of a program.  Each computes coefficient k of its slot in the
-# slot table v, at the points a run is based at (for refusals).
+# The steps of a program.  Each is its recurrence: it appends coefficient k
+# of its slot in the slot table v from coefficients 0..k of its operands and
+# 0..k-1 of its own, so a series is filled one coefficient at a time, and at
+# k = 0 it holds its function's refusals, read at the points a run is based
+# at, and its ufunc.  Sums run left to right in a plain loop, as builtin
+# sum() on floats compensates its rounding from Python 3.12 on and on arrays
+# does not.  A product skips only the coefficients known to be 0 (past an
+# operand's top): a sum from +0.0 is never -0, so a term that is +-0 changes
+# none of its finite values when left out.
 
 def _add_step(out: int, a: int, b: int):
     def step(v, k, points):
@@ -547,49 +476,79 @@ def _neg_step(out: int, a: int):
     return step
 
 
-def _mul_step(out: int, a: int, b: int, flags: int, top_a, top_b):
-    # flags: the slot of _mul_k's nonzero, one entry per coefficient of a
+def _mul_step(out: int, a: int, b: int, top_a, top_b):
     def step(v, k, points):
-        x, nonzero = v[a], v[flags]
-        nonzero.append(k <= top_a and not _all_zero(x[k]))
-        v[out].append(_mul_k(x, v[b], k, nonzero, k - top_b if k > top_b else 0))
+        x, y = v[a], v[b]
+        acc = 0.0
+        for i in range(k - top_b if k > top_b else 0, min(k, top_a) + 1):
+            acc += x[i] * y[k - i]
+        v[out].append(acc)
     return step
 
 
 def _div_step(out: int, a: int, b: int):
     def step(v, k, points):
-        h = v[out]
-        h.append(_div_k(v[a], v[b], h, k, points))
+        x, y, h = v[a], v[b], v[out]
+        if k == 0:
+            _refuse(y[0] == 0.0, "series division by a series with zero constant term", points)
+        # acc = acc - ..., not -=, which would write into an array coefficient
+        acc = x[k]
+        for j in range(k):
+            acc = acc - h[j] * y[k - j]
+        h.append(acc / y[0])
     return step
 
 
 def _exp_step(out: int, g: int, top):
     def step(v, k, points):
-        h = v[out]
-        h.append(_exp_k(v[g], h, k, top, points))
+        x, h = v[g], v[out]
+        if k == 0:
+            _refuse(x[0] > EXP_ARG_MAX, "exp overflows the float range", points)
+            h.append(_ufunc("exp", x[0]))
+            return
+        acc = 0.0
+        for j in range(1, min(k, top) + 1):
+            acc += j * x[j] * h[k - j]
+        h.append(acc / k)
     return step
 
 
 def _ln_step(out: int, g: int):
     def step(v, k, points):
-        h = v[out]
-        h.append(_ln_k(v[g], h, k, points))
+        x, h = v[g], v[out]
+        if k == 0:
+            _refuse(x[0] <= 0.0, "ln of a non-positive series value", points)
+            h.append(_ufunc("ln", x[0]))
+            return
+        acc = x[k]
+        for j in range(1, k):
+            acc = acc - (j / k) * h[j] * x[k - j]
+        h.append(acc / x[0])
     return step
 
 
 def _sin_cos_step(s_out: int, c_out: int, g: int, top):
     def step(v, k, points):
-        s, c = v[s_out], v[c_out]
-        s_k, c_k = _sin_cos_k(v[g], s, c, k, top, points)
-        s.append(s_k)
-        c.append(c_k)
+        x, s, c = v[g], v[s_out], v[c_out]
+        if k == 0:
+            _refuse(abs(x[0]) == math.inf, "sin, cos or tan of an infinite series value", points)
+            s.append(_ufunc("sin", x[0]))
+            c.append(_ufunc("cos", x[0]))
+            return
+        acc_s = acc_c = 0.0
+        for j in range(1, min(k, top) + 1):
+            acc_s += j * x[j] * c[k - j]
+            acc_c += j * x[j] * s[k - j]
+        s.append(acc_s / k)
+        c.append(-acc_c / k)
     return step
 
 
 def _tan_pole_step(c: int):
+    # tan(g) is sin(g)/cos(g); refuse it where |cos(g)| is below TAN_POLE_TOL
     def step(v, k, points):
         if k == 0:
-            _refuse_tan_pole(v[c][0], points)
+            _refuse(abs(v[c][0]) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}", points)
     return step
 
 
@@ -612,12 +571,14 @@ class TaylorProgram:
     step grows by one coefficient; equal subexpressions share a slot.  A
     subexpression that reads no variable is a float, evaluated once here as
     eval_scalar would.  Beside a series it is a constant series, known to be
-    0 past coefficient 0, so a product with it costs one term, 0.0 + a[k]*c,
-    a coefficient; a product with t costs two.  A term known to be 0 that is
-    left out changes no finite value (see the kernels), so a program gives
-    the bits of the full recurrences.  Every refusal reads coefficient 0, so
-    a run raises the first error that evaluating the tree node by node would
-    meet.
+    0 past coefficient 0, so a product with it costs one term, 0.0 + c*a[k],
+    a coefficient; a product with t costs two.  Each step is its recurrence,
+    and products skip only the coefficients known to be 0; a term left out
+    changes no finite value of the sum (see the steps), so a program gives
+    the bits of the full recurrences.  A coefficient that only happens to be
+    0 is not skipped: times inf it gives NaN, as the float walk does.  Every
+    refusal reads coefficient 0, so a run raises the first error that
+    evaluating the tree node by node would meet.
     """
 
     def __init__(self, expr: Expr, inputs: Mapping):
@@ -652,9 +613,6 @@ class TaylorProgram:
     def _series(self, x) -> int:
         return self._constant(x) if isinstance(x, float) else x
 
-    def _fail(self, message: str) -> None:
-        self._steps.append(_fail_step(message))
-
     def _compile(self, e: Expr):
         """The slot of e's series, or e's value where e reads no variable."""
         if not variables_of(e):
@@ -662,11 +620,11 @@ class TaylorProgram:
                 return float(_evaluate(e, {}))
             except EvalDomainError as err:
                 # raised where the walk meets it, after what precedes e
-                self._fail(str(err))
+                self._steps.append(_fail_step(str(err)))
                 return math.nan
         if isinstance(e, Var):
             if e.name not in self.inputs:
-                self._fail(f"no value bound to variable {e.name!r}")
+                self._steps.append(_fail_step(f"no value bound to variable {e.name!r}"))
                 return self._constant(math.nan)
             if e.name not in self._bound:
                 self._bound[e.name] = self._slot(self.inputs[e.name])
@@ -674,10 +632,7 @@ class TaylorProgram:
         if isinstance(e, (Add, Sub, Mul, Div)):
             a, b = self._compile(e.left), self._compile(e.right)
             if isinstance(e, Div) and isinstance(b, float) and b == 0.0:
-                self._fail("division by zero")
-            if isinstance(e, Mul) and isinstance(a, float):
-                # c*x is x.__rmul__(c): x is the left factor, whose zeros are skipped
-                a, b = b, a
+                self._steps.append(_fail_step("division by zero"))
             return self._binary(type(e), self._series(a), self._series(b))
         if isinstance(e, Pow):
             x = self._compile(e.base)
@@ -685,9 +640,12 @@ class TaylorProgram:
                 return self._constant(1.0)
             if e.exponent < 0:
                 x = self._binary(Div, self._constant(1.0), x)
+            # binary powering from the top bit: x*x, then (x*x)*x for |n| = 3
             out = x
-            for _ in range(abs(e.exponent) - 1):
-                out = self._binary(Mul, out, x)
+            for bit in bin(abs(e.exponent))[3:]:
+                out = self._binary(Mul, out, out)
+                if bit == "1":
+                    out = self._binary(Mul, out, x)
             return out
         if isinstance(e, Neg):
             a = self._compile(e.arg)
@@ -703,7 +661,7 @@ class TaylorProgram:
         if kind is Sub:
             return self._numbered(("-", a, b), lambda out: _sub_step(out, a, b), max(ta, tb))
         if kind is Mul:
-            return self._numbered(("*", a, b), lambda out: _mul_step(out, a, b, self._slot(None), ta, tb), ta + tb)
+            return self._numbered(("*", a, b), lambda out: _mul_step(out, a, b, ta, tb), ta + tb)
         # a quotient by a constant is 0 where its numerator is
         return self._numbered(("/", a, b), lambda out: _div_step(out, a, b), ta if tb == 0 else math.inf)
 

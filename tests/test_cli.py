@@ -477,6 +477,36 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# input nested deeper than Python's recursion limit, in each shape: parentheses
+# fail near 250 levels, flat sums near 1000 terms
+NESTED_5000 = [
+    pytest.param(["variation", "--u", "(" * 5000 + "t" + ")" * 5000, "--interval", "0.1,0.2", "--n", "1"],
+                 id="variation-u-parentheses"),
+    pytest.param(["variation", "--u", "+".join(["t"] * 5000), "--interval", "0.1,0.2", "--n", "1"],
+                 id="variation-u-sum"),
+    pytest.param(["invariants", "--F=" + "+".join(["r"] * 5000), "--jet", "0,0,1,0,0"], id="invariants-F-sum"),
+    pytest.param(["invariants", "--F=" + "-" * 5000 + "r", "--jet", "0,0,1,0,0"], id="invariants-F-unary-minus"),
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_5000)
+def test_input_nested_too_deeply_is_one_error_line(argv, capsys):
+    with within_5_s():
+        code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_variation_whose_curve_fails_at_compile_time_is_one_error_line(capsys):
+    # ln(0-1) reads no variable, so it is evaluated, and refused, once
+    code, out, err = run(["variation", "--u", "t + ln(0-1)", "--interval", "0.1,0.2", "--n", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: ln of non-positive value -1.0\n"
+
+
 @pytest.mark.parametrize("argv", NON_FINITE_NUMBERS)
 def test_non_finite_number_is_named(argv, capsys):
     code, _, err = run(argv, capsys)

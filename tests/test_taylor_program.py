@@ -4,13 +4,16 @@ formal_solution."""
 
 import hashlib
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from schwarzlab import symbolics
+from schwarzlab.errors import EvalDomainError
 from schwarzlab.schwarzian import EL_FIELD_TEXT, Jet4
-from schwarzlab.symbolics import TaylorProgram, TaylorScalar, formal_solution, parse, taylor_eval
+from schwarzlab.symbolics import TaylorProgram, TaylorScalar, eval_scalar, formal_solution, parse, taylor_eval
 from schwarzlab.variation import BumpFn
 
 # One expression per node kind: + - * / with a constant or t on either side,
@@ -202,3 +205,62 @@ def test_formal_solution_coefficients_do_not_depend_on_the_order(name):
     # u through 6, and its derivatives through what order 6 fixes of them
     for v, valid in zip("upqr", (7, 6, 5, 4)):
         assert low[v].coeffs[:valid] == high[v].coeffs[:valid]
+
+
+def test_zero_times_inf_is_the_scalar_path_nan_at_a_float_and_on_a_batch():
+    # sin(t) is 0 at t = 0, and 0*inf is NaN: coefficient 0 is the float's
+    # value, as the product skips no coefficient of sin(t), only those of the
+    # constant past 0
+    e = parse("sin(t)*(1e308*10)")
+    assert math.isnan(eval_scalar(e, {"t": 0.0}))
+    assert math.isnan(taylor_eval(e, {"t": TaylorScalar.variable(0.0, 3)}).coeffs[0])
+    ts = np.array([0.0, -0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        on_batch = taylor_eval(e, {"t": TaylorScalar.variable(ts, 3)})
+    assert np.isnan(on_batch.coeffs[0]).all()
+
+
+def test_a_huge_power_compiles_into_few_steps():
+    # binary powering: at most 2*log2(n) products, not n - 1
+    program = TaylorProgram(parse("1+t^100000000"), {"t": 1})
+    assert len(program._steps) <= 60
+
+
+@pytest.mark.parametrize("n", [7, -5])
+def test_power_series_match_mpmath(n):
+    t0, order = 0.7, 9
+    with mpmath.workdps(30):
+        want = [float(c) for c in mpmath.taylor(lambda x: x**n, mpmath.mpf(t0), order)]
+    for inputs in ({"t": 1}, {"t": math.inf}):
+        got = TaylorProgram(parse(f"t^{n}"), inputs).run(t0, {"t": TaylorScalar.variable(t0, order).coeffs}, order)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_power_0_is_the_constant_1():
+    assert taylor_eval(parse("t^0"), {"t": TaylorScalar.variable(0.4, 3)}).coeffs == (1.0, 0.0, 0.0, 0.0)
+
+
+# A subexpression that reads no variable is evaluated once, at compile time;
+# its refusal, and an unbound variable's, is raised where the walk meets it
+
+
+def test_a_failing_constant_subexpression_raises_the_walks_message():
+    with pytest.raises(EvalDomainError, match=re.escape("ln of non-positive value -1.0")):
+        taylor_eval(parse("t + ln(0-1)"), {"t": TaylorScalar.variable(0.5, 3)})
+
+
+def test_a_failing_left_operand_is_refused_before_a_failing_constant():
+    with pytest.raises(EvalDomainError, match=re.escape("ln of a non-positive series value at t = -1.0")):
+        taylor_eval(parse("ln(t) + ln(0-1)"), {"t": TaylorScalar.variable(-1.0, 3)})
+
+
+@pytest.mark.parametrize("text", ["t/0", "t/(1-1)"])
+@pytest.mark.parametrize("point", [0.5, np.linspace(0.1, 0.9, 5)], ids=["float", "batch"])
+def test_division_by_a_constant_zero_is_refused(text, point):
+    with pytest.raises(EvalDomainError, match="^division by zero$"):
+        taylor_eval(parse(text), {"t": TaylorScalar.variable(point, 3)})
+
+
+def test_an_unbound_variable_is_refused():
+    with pytest.raises(EvalDomainError, match=re.escape("no value bound to variable 'u'")):
+        taylor_eval(parse("t + u"), {"t": TaylorScalar.variable(0.5, 3)})

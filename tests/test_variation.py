@@ -72,6 +72,13 @@ def test_IS_examples():
     assert abs(functional_IS(u_tan, 0.0, 0.5) - 1.0) <= 1e-10
 
 
+def test_IS_over_a_reversed_interval_is_its_negative():
+    # S(tan) = 2, so the integral over (0.1, 1) is 1.8
+    u = ExprCurve("tan(t)", (0.1, 1.0))
+    assert functional_IS(u, 1.0, 0.1) == -functional_IS(u, 0.1, 1.0)
+    assert functional_IS(u, 1.0, 0.1) == pytest.approx(-1.8, abs=1e-10)
+
+
 def test_IS_boundary_identity_random_curves():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -504,6 +511,12 @@ def test_admissible_support_check():
     u = ExprCurve("t", (0.0, 1.0))
     with pytest.raises(ValueError):
         admissible_variation(u, BumpFn(0.1, 0.09, 1.0), 0.05)  # support starts left of eps
+
+
+def test_admissible_variation_refuses_a_variation_without_support():
+    u = ExprCurve("t", (0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("phi must be compactly supported (a bump or combination of bumps)")):
+        admissible_variation(u, ExprVariation("t"), 0.05)
 
 
 def test_admissible_infinite_gain_is_infeasible():
