@@ -17,10 +17,11 @@ at the integrand's breakpoints and each panel is bisected until the two
 trailing coefficients of its CHEB_N-point Chebyshev interpolant are
 negligible; the panel's integral is then exact for that interpolant.  The
 walk goes one bisection level at a time, so each level is sampled in one
-call.  The walk of W over a lone bump samples the bump's whole panel tree
-in one call before the first level, so a critical_test probe samples W's
-integrand once, and DuSolution reads W at any set of nodes in one Clenshaw
-pass.
+call, and the panels of a sample call are fitted in one stacked product.
+The walk of W over a lone bump samples the bump's whole panel tree in one
+call before the first level, so a critical_test probe samples W's integrand
+once, and DuSolution reads W, at a float or at any set of nodes, in one
+Clenshaw pass (_clenshaw, chebval's recurrence).
 
 A function of t is immutable once built, and each one keeps a memo of its
 last MEMO_SIZE derivs reads, so it computes its jets once per set of points:
@@ -30,6 +31,7 @@ same panel nodes, the same two ends and the same regularity grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from functools import cache, cached_property, wraps
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .closed_form import MobiusFamily, family_derivs, family_fourth, family_poles
 from .el_ode import Trajectory
@@ -102,21 +104,30 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expecte
     not finite, and past CHEB_MAX_PANELS panels.
 
     The walk goes one bisection level at a time: each level is sampled in one
-    sample call over the nodes of the panels it lacks a fit for, and each
-    panel is then fitted on its own, as a batched product would round
-    differently.  expected, (lo, hi) pairs, are the panels the caller
-    expects the walk to reach: they are sampled together in one call before
-    the first level, so a walk whose guess holds samples once.  If that
-    call raises, the walk goes on without it, and an expected panel the
-    walk does not reach is never tested.  As a node's value does not depend
-    on the other nodes of its array, every panel is the one a walk panel by
-    panel would give, bit for bit, and so is every error."""
+    sample call over the nodes of the panels it lacks a fit for, and the
+    panels of that call are fitted in one product over their stack, whose
+    every slice runs the one-panel product (BLAS's gemv for one column, gemm
+    for more), so each fit has the bits of the panel's own.  Each panel is
+    then decided on its tail as a Python float.  expected, (lo, hi) pairs,
+    are the panels the caller expects the walk to reach: they are sampled
+    together in one call before the first level, so a walk whose guess holds
+    samples once.  If that call raises, the walk goes on without it, and an
+    expected panel the walk does not reach is never tested.  As a node's
+    value does not depend on the other nodes of its array, every panel is
+    the one a walk panel by panel would give, bit for bit, and so is every
+    error."""
     # a sample that is not finite is refused below, by its panel's tail, so
     # numpy does not warn of it first
     @np.errstate(over="ignore", invalid="ignore")
     def fit(level):
+        """(coefficients, tail, largest coefficient) of each panel of level,
+        the two maxima as Python floats from one reduction each."""
         values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
-        return [_CHEB_FIT @ v for v in values.reshape((len(level), CHEB_N) + values.shape[1:])]
+        coefs = _CHEB_FIT @ values.reshape(len(level), CHEB_N, -1)
+        size = np.abs(coefs)
+        return list(zip(coefs.reshape((len(level), CHEB_N) + values.shape[1:]),
+                        np.maximum.reduce(size[:, -2:], axis=(1, 2)).tolist(),
+                        np.maximum.reduce(size, axis=(1, 2)).tolist()))
 
     # the fits of expected panels that no level has taken yet
     ready = {}
@@ -136,14 +147,13 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expecte
             lacking = [panel for panel in level if panel not in ready]
             if lacking:
                 ready.update(zip(lacking, fit(lacking)))
-            coefs = [ready.pop(panel) for panel in level]
+            fits = [ready.pop(panel) for panel in level]
         else:
-            coefs = fit(level)
+            fits = fit(level)
         if tol is None:
-            tol = max(CHEB_TAIL * max(np.abs(coef).max() for coef in coefs), floor)
+            tol = max(CHEB_TAIL * max(peak for *_, peak in fits), floor)
         halves = []
-        for i, ((lo, hi), coef) in enumerate(zip(level, coefs)):
-            tail = np.abs(coef[-2:]).max()
+        for i, ((lo, hi), (coef, tail, _)) in enumerate(zip(level, fits)):
             if not math.isfinite(tail):
                 raise QuadratureError(f"quadrature over [{a:g}, {b:g}]: the integrand is not finite "
                                       f"on the panel [{lo:g}, {hi:g}]", tail * (hi - lo))
@@ -158,6 +168,17 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expecte
                 halves += [(lo, m), (m, hi)]
         level = halves
     return sorted(done, key=lambda panel: panel[0])
+
+
+def _clenshaw(c, x):
+    """sum_j c[j] T_j(x) by chebval's Clenshaw recurrence, the same
+    operations in the same order, so the same bits: at a float x with c a
+    list of floats, or at an array x with c's rows arrays over it."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _quad(fn, a, b, breakpoints=()):
@@ -492,7 +513,8 @@ class DuSolution(VariationFn):
     breakpoints.  Their test has no absolute floor, so W is resolved relative
     to phi/u' at any scale.  Since D_u(v) = phi, the Schwarzian form of
     delta I_S along v integrates S(u) phi/u'; that integral comes from the
-    same panel jets as `schwarzian_integral`.
+    same panel jets as `schwarzian_integral`.  W is read by _cumulative, at
+    a float or on an array, with chebval's bits.
 
     When phi is a BumpFn, the walk is handed the panels it is expected to
     reach: the two panels outside the support and the bump's panel tree on
@@ -522,25 +544,34 @@ class DuSolution(VariationFn):
         if isinstance(phi, BumpFn):
             lo, hi = phi.support
             expected = [(self.t0, lo), *_bump_tree(lo, hi), (hi, self.t1)]
-        panels = _panels(sample, self.t0, self.t1, phi.breakpoints, 0.0, expected)
+        lefts, rights, antiderivs = zip(*_panels(sample, self.t0, self.t1, phi.breakpoints, 0.0, expected))
+        # the antiderivatives of (W, int S phi/u'), one panel a row
+        stack = np.array(antiderivs)
         # running (W, int S phi/u') at the right end of each panel
-        totals = np.cumsum([antideriv.sum(axis=0) for *_, antideriv in panels], axis=0)
-        # per panel: its ends, W at its left end, and in a column the
-        # coefficients of W on it
-        self._lefts, self._rights = np.array([(a, b) for a, b, _ in panels]).T
+        totals = np.cumsum(stack.sum(axis=1), axis=0)
+        # per panel: its ends (the left ones also as a list of floats, for
+        # bisect), W at its left end, and in a column the coefficients of W on it
+        self._left_list = list(lefts)
+        self._lefts, self._rights = np.array(lefts), np.array(rights)
         self._offsets = np.concatenate([[0.0], totals[:-1, 0]])
-        self._coefs = np.array([antideriv[:, 0] for *_, antideriv in panels]).T
+        self._coefs = stack[:, :, 0].T
         self.schwarzian_integral = float(totals[-1, 1])
 
     def _cumulative(self, ts):
-        """W at a float, or at the nodes of a 1-D array ts, clamped to [t0, t1]:
-        every node's panel gathered, then one Clenshaw pass over all nodes."""
+        """W clamped to [t0, t1], by one Clenshaw pass with chebval's bits.
+        At a float, a numpy float or an int, a Python float: the panel is
+        found by bisect and the pass runs on its coefficients as Python
+        floats.  At a 1-D array ts, every node's panel is gathered, then one
+        pass runs over all nodes."""
         if not isinstance(ts, np.ndarray):
-            return float(self._cumulative(np.array([ts]))[0])
+            t = min(max(float(ts), self.t0), self.t1)
+            i = max(bisect.bisect_right(self._left_list, t) - 1, 0)
+            a, b = self._left_list[i], float(self._rights[i])
+            return float(self._offsets[i]) + _clenshaw(self._coefs[:, i].tolist(), (2.0 * t - a - b) / (b - a))
         ts = np.clip(ts, self.t0, self.t1)
         piece = np.maximum(np.searchsorted(self._lefts, ts, side="right") - 1, 0)
         a, b = self._lefts[piece], self._rights[piece]
-        return self._offsets[piece] + chebval((2.0 * ts - a - b) / (b - a), self._coefs[:, piece], tensor=False)
+        return self._offsets[piece] + _clenshaw(self._coefs[:, piece], (2.0 * ts - a - b) / (b - a))
 
     @_memoized
     def derivs(self, t):

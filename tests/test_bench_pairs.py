@@ -33,6 +33,29 @@ def canned_runs():
             for i, pair in enumerate(CANNED) for side, values in zip(("parent", "change"), pair)]
 
 
+def record_line(raw_ops, p50, p90, samples, **machine):
+    return "record " + json.dumps({**machine, "seconds": 25.0, "raw_ops_per_s": raw_ops, "raw_op_p50_ms": p50,
+                                   "raw_op_p90_ms": p90, "reference_samples": samples})
+
+
+# (parent, change) raw_ops_per_s, raw_op_p50_ms, raw_op_p90_ms and reference samples per pair
+CANNED_RECORDS = [((90.0, 2.5, 3.0, 4), (100.0, 2.0, 2.5, 2)), ((95.0, 2.4, 3.5, 3), (130.0, 1.5, 2.0, 3)),
+                  ((80.0, 2.6, 3.1, 2), (110.0, 1.8, 2.4, 1)), ((85.0, 2.0, 2.9, 5), (120.0, 1.9, 2.2, 4))]
+
+
+def test_records_of_canned_pairs():
+    runs = [{"pair": i, "side": side, "record": record_line(*values)}
+            for i, pair in enumerate(CANNED_RECORDS) for side, values in zip(("parent", "change"), pair)]
+    # the order of the runs is the pairs', not the sides'
+    records = bench_pairs.summarize_records(runs[::-1])
+    assert records["parent"] == {"raw_ops_per_s_median": 87.5, "raw_op_p50_ms_median": 2.45,
+                                 "raw_op_p90_ms_median": 3.05, "reference_samples": [4, 3, 2, 5],
+                                 "few_reference_samples": ["pair 2 parent"]}
+    assert records["change"] == {"raw_ops_per_s_median": 115.0, "raw_op_p50_ms_median": 1.85,
+                                 "raw_op_p90_ms_median": 2.3, "reference_samples": [2, 3, 1, 4],
+                                 "few_reference_samples": ["pair 0 change", "pair 2 change"]}
+
+
 def test_summary_of_canned_pairs():
     summary = bench_pairs.summarize(canned_runs(), END_TO_END)
     ops = summary["ops_per_s"]
@@ -57,14 +80,13 @@ def test_pairs_alternate_and_the_report_keeps_every_run(tmp_path, monkeypatch):
     (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     order = []
     machine = {"cpu": "x", "nproc": 2, "python": "3", "numpy": "2", "scipy": "1"}
-    record = {**machine, "seconds": 25.0}
 
     def canned(checkout, workload, seed):
-        # each side's n-th run reads pair n of CANNED
+        # each side's n-th run reads pair n of CANNED and of CANNED_RECORDS
         side = ("parent", "change").index(checkout.name)
-        values = CANNED[order.count(checkout.name)][side]
+        n = order.count(checkout.name)
         order.append(checkout.name)
-        return "record " + json.dumps(record), result_line(*values)
+        return record_line(*CANNED_RECORDS[n][side], **machine), result_line(*CANNED[n][side])
 
     monkeypatch.setattr(bench_pairs, "run_once", canned)
     out = tmp_path / "BENCH.json"
@@ -77,3 +99,5 @@ def test_pairs_alternate_and_the_report_keeps_every_run(tmp_path, monkeypatch):
     wl = report["workloads"]["integrate"]
     assert wl["seed"] == 3 and wl["all_correct"] is True and len(wl["runs"]) == 8
     assert wl["summary"] == bench_pairs.summarize(canned_runs(), END_TO_END)
+    assert wl["records"]["parent"]["reference_samples"] == [4, 3, 2, 5]
+    assert wl["records"]["change"]["few_reference_samples"] == ["pair 0 change", "pair 2 change"]

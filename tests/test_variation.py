@@ -918,7 +918,14 @@ WALKS = {
     "sin-40t": lambda mp: (ExprVariation("sin(40*t)").value, 0.0, 3.0, (1.0,), variation.QUAD_EPS, ()),
     **{f"lone-bump-{kind}": lambda mp, u=u, phi=phi: captured_walk(mp, lambda: solve_du(u, phi, 0.0))
        for kind, (u, phi) in LONE_BUMPS.items()},
+    # the densities of u + s*v for s = +-h, and for s = +-h, +-h/2
+    "delta-fd": lambda mp: captured_walk(mp, lambda: delta_fd("I_L", TAN, BumpFn(0.9, 0.4, 0.7))),
+    "delta-fd-richardson": lambda mp: captured_walk(
+        mp, lambda: delta_fd("I_L", TAN, BumpFn(0.9, 0.4, 0.7), richardson=True)),
 }
+# the columns of each walk's integrand, 1 for a 1-D one; DuSolution's
+# walks, absent here, have 2: phi/u' and S(u) phi/u'
+WALK_COLUMNS = {"tan-curve": 1, "sin-40t": 1, "delta-fd": 2, "delta-fd-richardson": 4}
 
 
 @pytest.mark.parametrize("kind", sorted(WALKS))
@@ -930,7 +937,15 @@ def test_panels_by_level_arrays_equal_the_depth_first_walk(kind, monkeypatch):
     assert len(got) == len(want) > len(breakpoints) + 4  # the walk bisected
     for (lo, hi, antideriv), (lo_want, hi_want, antideriv_want) in zip(got, want):
         assert (lo, hi) == (lo_want, hi_want)
+        assert antideriv.shape == antideriv_want.shape
         assert antideriv.tobytes() == antideriv_want.tobytes()
+    # the product over the stacked panels is, slice by slice, each panel's own fit
+    nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * variation._CHEB_NODES for lo, hi, _ in got]
+    values = sample(np.concatenate(nodes))
+    assert values.reshape(len(values), -1).shape[1] == WALK_COLUMNS.get(kind, 2)
+    stacked = variation._CHEB_FIT @ values.reshape(len(got), variation.CHEB_N, -1)
+    for coef, ts in zip(stacked, nodes):
+        assert coef.tobytes() == (variation._CHEB_FIT @ sample(ts)).tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(WALKS))
@@ -1062,33 +1077,48 @@ def test_panel_tree_walk_raises_what_the_level_walk_raises(fault, where):
         assert len(want) == 12
 
 
+# (curve, phi, v0) of the DuSolutions whose W is read: a sum of bumps, and
+# a lone bump, whose walk takes the bump's panel tree
+W_READS = {"two-bumps": (TAN, TWO_BUMPS, 0.3), "lone-bump": (*LONE_BUMPS["tan"], -0.4)}
+
+
 def test_du_solution_cumulative_arrays_equal_per_panel_chebval(monkeypatch):
     from numpy.polynomial.chebyshev import chebval
 
-    v = None
+    for kind, (u, phi, v0) in W_READS.items():
+        v = None
 
-    def build():
-        nonlocal v
-        v = solve_du(TAN, TWO_BUMPS, 0.3)
+        def build():
+            nonlocal v
+            v = solve_du(u, phi, v0)
 
-    sample, a, b, breakpoints, *_ = captured_walk(monkeypatch, build)
-    # W panel by panel, as a walk over the panels with one chebval each
-    pieces, total = [], np.zeros(2)
-    for lo, hi, antideriv in variation._panels(sample, a, b, breakpoints):
-        pieces.append((lo, hi, float(total[0]), antideriv[:, 0]))
-        total += antideriv.sum(axis=0)
+        sample, a, b, breakpoints, floor, expected = captured_walk(monkeypatch, build)
+        assert bool(expected) == (kind == "lone-bump")
+        # W panel by panel, as a walk over the panels with one chebval each
+        pieces, total = [], np.zeros(2)
+        for lo, hi, antideriv in variation._panels(sample, a, b, breakpoints, floor, expected):
+            pieces.append((lo, hi, float(total[0]), antideriv[:, 0]))
+            total += antideriv.sum(axis=0)
 
-    def w(t):
-        t = min(max(t, a), b)
-        lo, hi, offset, coef = pieces[max(bisect.bisect_right([p[0] for p in pieces], t) - 1, 0)]
-        return offset + chebval((2.0 * t - lo - hi) / (hi - lo), coef)
+        def w(t):
+            t = min(max(t, a), b)
+            lo, hi, offset, coef = pieces[max(bisect.bisect_right([p[0] for p in pieces], t) - 1, 0)]
+            return offset + chebval((2.0 * t - lo - hi) / (hi - lo), coef)
 
-    ts = np.concatenate([np.random.default_rng(17).uniform(a - 0.05, b + 0.05, 300),
-                         [p[0] for p in pieces], [b]])
-    want = np.array([w(t) for t in ts.tolist()])
-    assert len(pieces) > 10
-    assert v._cumulative(ts).tobytes() == want.tobytes()
-    assert [v._cumulative(t) for t in ts.tolist()] == want.tolist()
+        # t0, t1, each panel's left end, points just and far outside [t0,
+        # t1], and random points that reach past both ends
+        ts = np.concatenate([[a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), a - 1.0, b + 1.0],
+                             [p[0] for p in pieces], np.random.default_rng(17).uniform(a - 0.05, b + 0.05, 300)])
+        want = np.array([w(t) for t in ts.tolist()])
+        assert len(pieces) > 10
+        assert v._cumulative(ts).tobytes() == want.tobytes()
+        # a read at a float, a numpy float or an int is a Python float, with chebval's bits
+        ints = list(range(math.floor(a) - 1, math.ceil(b) + 2))
+        for reads, want_reads in (([float(t) for t in ts], want), ([np.float64(t) for t in ts], want),
+                                  (ints, np.array([w(float(t)) for t in ints]))):
+            got = [v._cumulative(t) for t in reads]
+            assert {type(x) for x in got} == {float}
+            assert np.array(got).tobytes() == want_reads.tobytes()
 
 
 @pytest.mark.parametrize("k", [1529.5, 1545.5])

@@ -15,8 +15,12 @@ whether every run was correct, and per end-to-end metric the medians of
 both sides, the interquartile range of the parent's runs, the number of
 pairs the change won (ties count for neither side), how much worse the
 change's median is than the parent's as a fraction of it (negative when
-better), and the bound that BENCHMARK.json fixes for it.  Standard library
-only.
+better), and the bound that BENCHMARK.json fixes for it.  Per side it also
+summarises the record lines: the medians of the raw (unscaled) op-time
+figures, each run's number of reference samples, and the runs with fewer
+than FEW_REFERENCE_SAMPLES of them, by name ("pair 3 change"): such a
+run scales its op times by the median of one or two reference samples, and
+the first of them also pays for scipy's import.  Standard library only.
 
     python3 tools/bench_pairs.py [--pairs N] --seed S --workload W
         [--workload W ...] [--claim TEXT] [--out FILE] PARENT CHANGE
@@ -34,6 +38,10 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 COMMAND = "python3 bench/run.py --workload WORKLOAD --seed SEED --trace 0"
+# the record's raw op-time figures, summarised by their medians
+RAW = ("raw_ops_per_s", "raw_op_p50_ms", "raw_op_p90_ms")
+# a run with fewer reference samples than this is named in the summary
+FEW_REFERENCE_SAMPLES = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> tuple:
@@ -80,6 +88,25 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def summarize_records(runs: list) -> dict:
+    """Per side, from the record lines of runs (each {"pair", "side",
+    "record"}, the record line as printed): the medians of the RAW figures,
+    each run's reference samples in pair order, and the runs with fewer than
+    FEW_REFERENCE_SAMPLES of them."""
+    out = {}
+    for side in SIDES:
+        mine = sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
+        records = [json.loads(r["record"][len("record "):]) for r in mine]
+        samples = [record["reference_samples"] for record in records]
+        out[side] = {
+            **{f"{name}_median": statistics.median(record[name] for record in records) for name in RAW},
+            "reference_samples": samples,
+            "few_reference_samples": [f"pair {r['pair']} {side}" for r, n in zip(mine, samples)
+                                      if n < FEW_REFERENCE_SAMPLES],
+        }
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=10)
@@ -115,6 +142,7 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "seed": args.seed,
             "summary": summarize(runs, end_to_end),
+            "records": summarize_records(runs),
             "runs": runs,
             "all_correct": all(json.loads(r["result"])["correct"] for r in runs),
         }
