@@ -8,7 +8,10 @@ coefficient at a time on floats or on equal-length arrays (a batch).  The
 program is the package's one series engine.  Each step is its recurrence
 (sum, product, quotient, exp, ln, sin/cos), and products skip only the
 coefficients known to be 0: a constant's past coefficient 0, so a product
-with it is one term a coefficient.  TaylorScalar is the series a run
+with it is one term a coefficient.  Coefficient k of every step runs as one
+generated Python function, written out term by term, generated lazily the
+first time a run reaches k and shared by every program of the same shape,
+whatever its constants.  TaylorScalar is the series a run
 returns, and derivatives is the one place that turns coefficients into
 derivatives.  formal_solution fills the series of the formal solution of
 u'''' = F in one relaxed sweep of F's program.  Series evaluation along that
@@ -32,6 +35,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -448,115 +452,121 @@ def eval_scalar(e: Expr, env) -> float:
 # Evaluation on series: an Expr compiled into a Taylor program
 # ---------------------------------------------------------------------------
 
-# The steps of a program.  Each is its recurrence: it appends coefficient k
-# of its slot in the slot table v from coefficients 0..k of its operands and
-# 0..k-1 of its own, so a series is filled one coefficient at a time, and at
-# k = 0 it holds its function's refusals, read at the points a run is based
-# at, and its ufunc.  Sums run left to right in a plain loop, as builtin
-# sum() on floats compensates its rounding from Python 3.12 on and on arrays
-# does not.  A product skips only the coefficients known to be 0 (past an
-# operand's top): a sum from +0.0 is never -0, so a term that is +-0 changes
-# none of its finite values when left out.
+# The steps of a program, each a descriptor tuple of its kind, the slots it
+# writes and reads, and what else its recurrence needs:
+#   ("+", out, a, b)   ("-", out, a, b)   ("neg", out, a)   ("/", out, a, b)
+#   ("*", out, a, b, top_a, top_b)   ("exp", out, g, top)   ("ln", out, g)
+#   ("sincos", s, c, g, top)   ("tan", c)   ("fail", message)
+# A program runs coefficient k of every step, in order, as one generated
+# function of the slot table v and the points: straight-line Python that
+# appends coefficient k of each step's slot from coefficients 0..k of its
+# operands and 0..k-1 of its own, so a series is filled one coefficient at a
+# time.  At k = 0 it holds each function's refusal, read at the points a run
+# is based at, its ufunc, and the raise of a "fail" step (every run starts
+# at coefficient 0).  A sum is one line a term, as acc += term or, where acc
+# may be an operand's own array coefficient, acc = acc - term; past
+# UNROLL_TERMS terms it is a for loop over the same terms, so a
+# coefficient's code stays O(steps) lines at any k.  Sums run left to right,
+# as builtin sum() on floats compensates its rounding from Python 3.12 on
+# and on arrays does not.  A product skips only the coefficients known to be
+# 0 (past an operand's top): a sum from +0.0 is never -0, so a term that is
+# +-0 changes none of its finite values when left out.  The code reads
+# constants from their slots, so programs of one shape (slot count and
+# steps) share their functions, by k, each generated the first time a run of
+# that shape reaches it; _coefficients keeps those of SHAPES_KEPT shapes,
+# dropping the least recently looked up.
 
-def _add_step(out: int, a: int, b: int):
-    def step(v, k, points):
-        v[out].append(v[a][k] + v[b][k])
-    return step
-
-
-def _sub_step(out: int, a: int, b: int):
-    def step(v, k, points):
-        v[out].append(v[a][k] - v[b][k])
-    return step
-
-
-def _neg_step(out: int, a: int):
-    def step(v, k, points):
-        v[out].append(-v[a][k])
-    return step
-
-
-def _mul_step(out: int, a: int, b: int, top_a, top_b):
-    def step(v, k, points):
-        x, y = v[a], v[b]
-        acc = 0.0
-        for i in range(k - top_b if k > top_b else 0, min(k, top_a) + 1):
-            acc += x[i] * y[k - i]
-        v[out].append(acc)
-    return step
+# a sum of more terms than this is a for loop in a coefficient's code
+UNROLL_TERMS = 7
+# the number of program shapes whose generated functions are kept
+SHAPES_KEPT = 256
 
 
-def _div_step(out: int, a: int, b: int):
-    def step(v, k, points):
-        x, y, h = v[a], v[b], v[out]
+def _sum(terms: range, k: int, *lines: str) -> list:
+    """lines at each j of terms, in order, where they read j and k - j as {j}
+    and {kj}: written out, or as a for loop past UNROLL_TERMS terms."""
+    if len(terms) <= UNROLL_TERMS:
+        return [line.format(j=j, kj=k - j) for j in terms for line in lines]
+    body = ["    " + line.format(j="j", kj=f"{k} - j") for line in lines]
+    return [f"for j in range({terms.start}, {terms.stop}):", *body]
+
+
+def _refusal(mask: str, message: str) -> str:
+    return f"_refuse({mask}, {message!r}, points)"
+
+
+def _step_lines(step: tuple, k: int) -> list:
+    """The lines that compute coefficient k of step."""
+    kind, *args = step
+    if kind in ("+", "-"):
+        out, a, b = args
+        return [f"s{out}.append(s{a}[{k}] {kind} s{b}[{k}])"]
+    if kind == "neg":
+        out, a = args
+        return [f"s{out}.append(-s{a}[{k}])"]
+    if kind == "*":
+        out, a, b, top_a, top_b = args
+        terms = range(k - top_b if k > top_b else 0, min(k, top_a) + 1)
+        return ["acc = 0.0", *_sum(terms, k, f"acc += s{a}[{{j}}] * s{b}[{{kj}}]"), f"s{out}.append(acc)"]
+    if kind == "/":
+        out, a, b = args
+        refuse = [_refusal(f"s{b}[0] == 0.0", "series division by a series with zero constant term")] if k == 0 else []
+        return [*refuse, f"acc = s{a}[{k}]", *_sum(range(k), k, f"acc = acc - s{out}[{{j}}] * s{b}[{{kj}}]"),
+                f"s{out}.append(acc / s{b}[0])"]
+    if kind == "exp":
+        out, g, top = args
         if k == 0:
-            _refuse(y[0] == 0.0, "series division by a series with zero constant term", points)
-        # acc = acc - ..., not -=, which would write into an array coefficient
-        acc = x[k]
-        for j in range(k):
-            acc = acc - h[j] * y[k - j]
-        h.append(acc / y[0])
-    return step
-
-
-def _exp_step(out: int, g: int, top):
-    def step(v, k, points):
-        x, h = v[g], v[out]
+            return [_refusal(f"s{g}[0] > EXP_ARG_MAX", "exp overflows the float range"),
+                    f's{out}.append(_ufunc("exp", s{g}[0]))']
+        return ["acc = 0.0", *_sum(range(1, min(k, top) + 1), k, f"acc += {{j}} * s{g}[{{j}}] * s{out}[{{kj}}]"),
+                f"s{out}.append(acc / {k})"]
+    if kind == "ln":
+        out, g = args
         if k == 0:
-            _refuse(x[0] > EXP_ARG_MAX, "exp overflows the float range", points)
-            h.append(_ufunc("exp", x[0]))
-            return
-        acc = 0.0
-        for j in range(1, min(k, top) + 1):
-            acc += j * x[j] * h[k - j]
-        h.append(acc / k)
-    return step
-
-
-def _ln_step(out: int, g: int):
-    def step(v, k, points):
-        x, h = v[g], v[out]
+            return [_refusal(f"s{g}[0] <= 0.0", "ln of a non-positive series value"),
+                    f's{out}.append(_ufunc("ln", s{g}[0]))']
+        return [f"acc = s{g}[{k}]", *_sum(range(1, k), k, f"acc = acc - ({{j}} / {k}) * s{out}[{{j}}] * s{g}[{{kj}}]"),
+                f"s{out}.append(acc / s{g}[0])"]
+    if kind == "sincos":
+        s, c, g, top = args
         if k == 0:
-            _refuse(x[0] <= 0.0, "ln of a non-positive series value", points)
-            h.append(_ufunc("ln", x[0]))
-            return
-        acc = x[k]
-        for j in range(1, k):
-            acc = acc - (j / k) * h[j] * x[k - j]
-        h.append(acc / x[0])
-    return step
+            return [_refusal(f"abs(s{g}[0]) == math.inf", "sin, cos or tan of an infinite series value"),
+                    f's{s}.append(_ufunc("sin", s{g}[0]))', f's{c}.append(_ufunc("cos", s{g}[0]))']
+        terms = _sum(range(1, min(k, top) + 1), k, f"acc_s += {{j}} * s{g}[{{j}}] * s{c}[{{kj}}]",
+                     f"acc_c += {{j}} * s{g}[{{j}}] * s{s}[{{kj}}]")
+        return ["acc_s = acc_c = 0.0", *terms,
+                f"s{s}.append(acc_s / {k})", f"s{c}.append(-acc_c / {k})"]
+    if k > 0:
+        return []
+    if kind == "tan":
+        # tan(g) is sin(g)/cos(g); refuse it where |cos(g)| is below TAN_POLE_TOL
+        (c,) = args
+        return [_refusal(f"abs(s{c}[0]) < TAN_POLE_TOL", f"tan pole: |cos| < {TAN_POLE_TOL:g}")]
+    (message,) = args
+    return [f"raise EvalDomainError({message!r})"]
 
 
-def _sin_cos_step(s_out: int, c_out: int, g: int, top):
-    def step(v, k, points):
-        x, s, c = v[g], v[s_out], v[c_out]
-        if k == 0:
-            _refuse(abs(x[0]) == math.inf, "sin, cos or tan of an infinite series value", points)
-            s.append(_ufunc("sin", x[0]))
-            c.append(_ufunc("cos", x[0]))
-            return
-        acc_s = acc_c = 0.0
-        for j in range(1, min(k, top) + 1):
-            acc_s += j * x[j] * c[k - j]
-            acc_c += j * x[j] * s[k - j]
-        s.append(acc_s / k)
-        c.append(-acc_c / k)
-    return step
+def coefficient_source(shape: tuple, k: int) -> str:
+    """The source of the function that computes coefficient k of every step
+    of a program of this shape, (slot count, steps)."""
+    slots, steps = shape
+    lines = [f"{', '.join(f's{n}' for n in range(slots))}, = v"]
+    for step in steps:
+        lines += _step_lines(step, k)
+    return "def coefficient(v, points):\n" + "".join(f"    {ln}\n" for ln in lines)
 
 
-def _tan_pole_step(c: int):
-    # tan(g) is sin(g)/cos(g); refuse it where |cos(g)| is below TAN_POLE_TOL
-    def step(v, k, points):
-        if k == 0:
-            _refuse(abs(v[c][0]) < TAN_POLE_TOL, f"tan pole: |cos| < {TAN_POLE_TOL:g}", points)
-    return step
+@lru_cache(maxsize=SHAPES_KEPT)
+def _coefficients(shape: tuple) -> dict:
+    """The generated functions of programs of one shape, by k, filled as runs
+    reach them."""
+    return {}
 
 
-def _fail_step(message: str):
-    # every run starts at coefficient 0
-    def step(v, k, points):
-        raise EvalDomainError(message)
-    return step
+def _generate(shape: tuple, k: int):
+    namespace = {}
+    exec(compile(coefficient_source(shape, k), f"<taylor coefficient {k}>", "exec"), globals(), namespace)
+    return namespace["coefficient"]
 
 
 class TaylorProgram:
@@ -570,15 +580,19 @@ class TaylorProgram:
     holds the coefficients of one subexpression, as a list that its
     step grows by one coefficient; equal subexpressions share a slot.  A
     subexpression that reads no variable is a float, evaluated once here as
-    eval_scalar would.  Beside a series it is a constant series, known to be
-    0 past coefficient 0, so a product with it costs one term, 0.0 + c*a[k],
-    a coefficient; a product with t costs two.  Each step is its recurrence,
-    and products skip only the coefficients known to be 0; a term left out
-    changes no finite value of the sum (see the steps), so a program gives
-    the bits of the full recurrences.  A coefficient that only happens to be
-    0 is not skipped: times inf it gives NaN, as the float walk does.  Every
-    refusal reads coefficient 0, so a run raises the first error that
-    evaluating the tree node by node would meet.
+    eval_scalar would, and held in a slot.  Beside a series it is a constant
+    series, known to be 0 past coefficient 0, so a product with it costs one
+    term, 0.0 + c*a[k], a coefficient; a product with t costs two.  The
+    steps are descriptor tuples (see above); coefficient k of them all runs
+    as one generated function, shared by every program of the same shape
+    and generated the first time a run reaches k, never when a program is
+    built.  Each step is its recurrence, and products skip only the
+    coefficients known to be 0; a term left out changes no finite value of
+    the sum, so a program gives the bits of the full recurrences.  A
+    coefficient that only happens to be 0 is not skipped: times inf it gives
+    NaN, as the float walk does.  Every refusal reads coefficient 0, so a
+    run raises the first error that evaluating the tree node by node would
+    meet.
     """
 
     def __init__(self, expr: Expr, inputs: Mapping):
@@ -590,16 +604,20 @@ class TaylorProgram:
         self._bound = {}
         self._numbers = {}
         self.out = self._series(self._compile(expr))
+        self._shape = (len(self._tops), tuple(self._steps))
+        self._functions = None
 
     def _slot(self, top) -> int:
         self._tops.append(top)
         return len(self._tops) - 1
 
-    def _numbered(self, key, make, top) -> int:
-        """The slot of the step make(out), made once per key."""
+    def _numbered(self, kind: str, operands: tuple, top, *params) -> int:
+        """The slot of the step (kind, out, *operands, *params), made once
+        per kind and operands."""
+        key = (kind, *operands)
         if key not in self._numbers:
             out = self._slot(top)
-            self._steps.append(make(out))
+            self._steps.append((kind, out, *operands, *params))
             self._numbers[key] = out
         return self._numbers[key]
 
@@ -620,11 +638,11 @@ class TaylorProgram:
                 return float(_evaluate(e, {}))
             except EvalDomainError as err:
                 # raised where the walk meets it, after what precedes e
-                self._steps.append(_fail_step(str(err)))
+                self._steps.append(("fail", str(err)))
                 return math.nan
         if isinstance(e, Var):
             if e.name not in self.inputs:
-                self._steps.append(_fail_step(f"no value bound to variable {e.name!r}"))
+                self._steps.append(("fail", f"no value bound to variable {e.name!r}"))
                 return self._constant(math.nan)
             if e.name not in self._bound:
                 self._bound[e.name] = self._slot(self.inputs[e.name])
@@ -632,7 +650,7 @@ class TaylorProgram:
         if isinstance(e, (Add, Sub, Mul, Div)):
             a, b = self._compile(e.left), self._compile(e.right)
             if isinstance(e, Div) and isinstance(b, float) and b == 0.0:
-                self._steps.append(_fail_step("division by zero"))
+                self._steps.append(("fail", "division by zero"))
             return self._binary(type(e), self._series(a), self._series(b))
         if isinstance(e, Pow):
             x = self._compile(e.base)
@@ -649,7 +667,7 @@ class TaylorProgram:
             return out
         if isinstance(e, Neg):
             a = self._compile(e.arg)
-            return self._numbered(("neg", a), lambda out: _neg_step(out, a), self._tops[a])
+            return self._numbered("neg", (a,), self._tops[a])
         if isinstance(e, Func):
             return self._function(e.name, self._compile(e.arg))
         raise TypeError(f"not an Expr node: {e!r}")
@@ -657,31 +675,43 @@ class TaylorProgram:
     def _binary(self, kind, a: int, b: int) -> int:
         ta, tb = self._tops[a], self._tops[b]
         if kind is Add:
-            return self._numbered(("+", a, b), lambda out: _add_step(out, a, b), max(ta, tb))
+            return self._numbered("+", (a, b), max(ta, tb))
         if kind is Sub:
-            return self._numbered(("-", a, b), lambda out: _sub_step(out, a, b), max(ta, tb))
+            return self._numbered("-", (a, b), max(ta, tb))
         if kind is Mul:
-            return self._numbered(("*", a, b), lambda out: _mul_step(out, a, b, ta, tb), ta + tb)
+            return self._numbered("*", (a, b), ta + tb, ta, tb)
         # a quotient by a constant is 0 where its numerator is
-        return self._numbered(("/", a, b), lambda out: _div_step(out, a, b), ta if tb == 0 else math.inf)
+        return self._numbered("/", (a, b), ta if tb == 0 else math.inf)
 
     def _function(self, name: str, g: int) -> int:
         top = self._tops[g]
         if name == "exp":
-            return self._numbered(("exp", g), lambda out: _exp_step(out, g, top), math.inf)
+            return self._numbered("exp", (g,), math.inf, top)
         if name == "ln":
-            return self._numbered(("ln", g), lambda out: _ln_step(out, g), math.inf)
+            return self._numbered("ln", (g,), math.inf)
         if name not in ("sin", "cos", "tan"):
             raise ValueError(f"unknown function {name!r}")
         if ("sin", g) not in self._numbers:
             s, c = self._slot(math.inf), self._slot(math.inf)
-            self._steps.append(_sin_cos_step(s, c, g, top))
+            self._steps.append(("sincos", s, c, g, top))
             self._numbers["sin", g], self._numbers["cos", g] = s, c
         if name != "tan":
             return self._numbers[name, g]
         s, c = self._numbers["sin", g], self._numbers["cos", g]
-        self._steps.append(_tan_pole_step(c))
+        self._steps.append(("tan", c))
         return self._binary(Div, s, c)
+
+    def coefficient(self, k: int):
+        """The generated function(v, points) that computes coefficient k of
+        every step, shared by every program of this shape."""
+        functions = self._functions
+        if functions is None:
+            functions = self._functions = _coefficients(self._shape)
+        f = functions.get(k)
+        if f is None:
+            # setdefault: a thread that generated k first gives every thread its function
+            f = functions.setdefault(k, _generate(self._shape, k))
+        return f
 
     def start(self, points, inputs: Mapping, order: int) -> list:
         """The slot table of a run to the given order at points, a float or
@@ -699,14 +729,13 @@ class TaylorProgram:
 
     def advance(self, v: list, k: int, points) -> None:
         """Compute coefficient k of every step, after coefficients 0..k-1."""
-        for step in self._steps:
-            step(v, k, points)
+        self.coefficient(k)(v, points)
 
     def run(self, points, inputs: Mapping, order: int) -> list:
         """The output's coefficients 0..order at points (see start)."""
         v = self.start(points, inputs, order)
         for k in range(order + 1):
-            self.advance(v, k, points)
+            self.coefficient(k)(v, points)
         return list(v[self.out][: order + 1])
 
 

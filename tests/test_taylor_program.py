@@ -5,6 +5,9 @@ formal_solution."""
 import hashlib
 import math
 import re
+import subprocess
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -13,8 +16,10 @@ import pytest
 from schwarzlab import symbolics
 from schwarzlab.errors import EvalDomainError
 from schwarzlab.schwarzian import EL_FIELD_TEXT, Jet4
-from schwarzlab.symbolics import TaylorProgram, TaylorScalar, eval_scalar, formal_solution, parse, taylor_eval
-from schwarzlab.variation import BumpFn
+from schwarzlab.ode_geometry import OdeField
+from schwarzlab.symbolics import (FLOW_INPUTS, UNROLL_TERMS, TaylorProgram, TaylorScalar, coefficient_source,
+                                  eval_scalar, flow_sweep, formal_solution, parse, taylor_eval)
+from schwarzlab.variation import BumpFn, ExprVariation
 
 # One expression per node kind: + - * / with a constant or t on either side,
 # integer powers, unary minus and every function.  u is a general series.
@@ -264,3 +269,128 @@ def test_division_by_a_constant_zero_is_refused(text, point):
 def test_an_unbound_variable_is_refused():
     with pytest.raises(EvalDomainError, match=re.escape("no value bound to variable 'u'")):
         taylor_eval(parse("t + u"), {"t": TaylorScalar.variable(0.5, 3)})
+
+
+# ---------------------------------------------------------------------------
+# The generated code: lazy, shared by programs of one shape, loops past
+# UNROLL_TERMS terms, and safe to generate from many threads at once
+# ---------------------------------------------------------------------------
+
+# formal_solution at order 40, where every sum of length k is a loop: the
+# EL field, and one with every step kind (exp, ln, sin/cos, tan, quotient,
+# negation, product, sum, difference); its ufuncs read t, u and q at the
+# arguments _ufunc_digest covers, at a float and on the batch's u0
+ORDER_40 = 40
+ORDER_40_FIELDS = {
+    "EL": (EL_FIELD_TEXT, (0.1, 0.2, 1.3, -0.4, 0.7)),
+    "every step": ("sin(q)*exp(t) - ln(u)/p^2 + tan(q)*(-(p*r))", PIN_FIELDS["ufuncs"][1]),
+}
+# Recorded from the step closures that the generated code replaced
+PINNED_ORDER_40 = {
+    "EL": ("e25b4aee040b716d", "4d8cc19af80335b3"),
+    "every step": ("8929736b9aba5fb4", "fda9ed1be92c8933"),
+}
+# the forms workload's variations: a cubic plus a sine, constants drawn per op
+FORMS_SHAPE = "{} + {}*t + {}*t^2 + {}*t^3 + {}*sin(t)"
+
+
+def _order_40_digests(name):
+    text, jet = ORDER_40_FIELDS[name]
+    at_float = formal_solution(parse(text), jet, ORDER_40)
+    u0 = _batch_u()[0]
+    _, _, p, q, r = jet
+    batch = Jet4(u0, u0, p + 0.1 * PIN_TS, u0 if name == "every step" else q + PIN_TS, r - PIN_TS)
+    on_batch = formal_solution(parse(text), batch, ORDER_40)
+    return (_digest(at_float[v].coeffs for v in "tupqr"),
+            _digest(np.broadcast_to(c, PIN_TS.shape) for v in "tupqr" for c in on_batch[v].coeffs))
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_40_FIELDS))
+def test_formal_solution_past_the_unroll_bound_keeps_its_bits(name):
+    assert ORDER_40 > UNROLL_TERMS + 1
+    _skip_unless_recorded_kernels(name == "every step")
+    assert _order_40_digests(name) == PINNED_ORDER_40[name]
+
+
+def test_a_coefficient_past_the_unroll_bound_has_as_many_lines_as_at_the_bound():
+    # from k = UNROLL_TERMS + 2 on, every sum of this program is longer than
+    # UNROLL_TERMS (ln's has k - 1 terms) and is a loop
+    program = TaylorProgram(parse(ORDER_40_FIELDS["every step"][0]), FLOW_INPUTS)
+    lines = [len(coefficient_source(program._shape, k).splitlines()) for k in (UNROLL_TERMS + 2, ORDER_40, 600)]
+    assert lines == [lines[0]] * 3
+    # below the bound a sum is a line a term
+    assert len(coefficient_source(program._shape, UNROLL_TERMS).splitlines()) > lines[0]
+
+
+def test_building_a_program_a_field_or_a_variation_generates_no_code(monkeypatch):
+    generated = []
+
+    def counted(shape, k):
+        generated.append(k)
+        return generate(shape, k)
+
+    generate = symbolics._generate
+    monkeypatch.setattr(symbolics, "_generate", counted)
+    symbolics._coefficients.cache_clear()
+    program = TaylorProgram(parse("exp(t)*u - 2.25"), {"t": 1, "u": math.inf})
+    field = OdeField.from_expression("sin(q)*p + r/u")
+    variation = ExprVariation("cos(t) + 0.125*t^5")
+    assert generated == []
+    program.run(0.3, {"t": TaylorScalar.variable(0.3, 2).coeffs, "u": (1.0, 2.0, 3.0)}, 2)
+    variation.derivs(0.3)
+    assert generated == [0, 1, 2, 0, 1, 2, 3]
+    assert field.programs[0]._functions is None
+
+
+def test_importing_the_package_generates_no_code():
+    # variation's _BUMP program is built at import
+    code = ("import schwarzlab.cli, schwarzlab.variation as V, schwarzlab.symbolics as S; "
+            "print(S._coefficients.cache_info().currsize, V._BUMP._functions)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "None"]
+
+
+def test_variations_of_one_shape_share_their_code_and_keep_their_constants():
+    consts = [(0.25, -1.5, 0.75, 0.125, -0.5), (-0.875, 0.5, -1.25, 1.75, 0.375)]
+    variations = [ExprVariation(FORMS_SHAPE.format(*c)) for c in consts]
+    t = 0.3
+    for (c0, c1, c2, c3, c4), v in zip(consts, variations):
+        want = (c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * math.sin(t),
+                c1 + 2 * c2 * t + 3 * c3 * t**2 + c4 * math.cos(t),
+                2 * c2 + 6 * c3 * t - c4 * math.sin(t),
+                6 * c3 - c4 * math.cos(t))
+        assert v.derivs(t) == pytest.approx(want, rel=1e-14, abs=1e-15)
+        on_batch = v.derivs(PIN_TS)
+        for i, ti in enumerate(PIN_TS.tolist()):
+            assert tuple(on_batch[:, i]) == v.derivs(ti)
+    a, b = (v.program for v in variations)
+    assert a._shape == b._shape
+    assert all(a.coefficient(k) is b.coefficient(k) for k in range(4))
+
+
+def test_threads_generating_a_fresh_shape_at_once_get_the_one_thread_bits():
+    text, jet = ORDER_40_FIELDS["every step"]
+    want = flow_sweep(TaylorProgram(parse(text), FLOW_INPUTS), jet, ORDER_40)
+    # the threads' programs find no function of their shape
+    symbolics._coefficients.cache_clear()
+    n = 8
+    barrier = threading.Barrier(n)
+    got = [None] * n
+
+    def sweep(i):
+        program = TaylorProgram(parse(text), FLOW_INPUTS)
+        barrier.wait()
+        got[i] = flow_sweep(program, jet, ORDER_40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * n
