@@ -254,8 +254,6 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(traj: Trajectory, path, header_comment: str = "") -> None:
+def write_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
         fh.write(trajectory_csv(traj))

@@ -727,10 +727,6 @@ class TaylorProgram:
             v[slot] = inputs[name]
         return v
 
-    def advance(self, v: list, k: int, points) -> None:
-        """Compute coefficient k of every step, after coefficients 0..k-1."""
-        self.coefficient(k)(v, points)
-
     def run(self, points, inputs: Mapping, order: int) -> list:
         """The output's coefficients 0..order at points (see start)."""
         v = self.start(points, inputs, order)
@@ -914,8 +910,9 @@ def flow_sweep(program: TaylorProgram, init, order: int) -> tuple:
     jet fixes coefficients 0..3 of u.  Coefficient k of F reads u only
     through coefficient k+3, so one relaxed sweep fills the rest (van der
     Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002):
-    for k = 0 .. order-4, the program computes coefficient k of each of its
-    steps, once, and coefficient k+4 of u is set from F's coefficient k.
+    for k = 0 .. order-4, the program's coefficient(k) computes coefficient
+    k of each of its steps, once, as run does, and coefficient k+4 of u is
+    set from F's coefficient k.
     """
     if order < 4:
         raise ValueError(f"order must be at least 4, got {order}")
@@ -926,7 +923,7 @@ def flow_sweep(program: TaylorProgram, init, order: int) -> tuple:
     v = program.start(t0, flow, order)
     f = v[program.out]
     for k in range(order - 3):
-        program.advance(v, k, t0)
+        program.coefficient(k)(v, t0)
         _grow(flow, f[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
     return t0, flow
 

@@ -16,12 +16,12 @@ Every integral here runs on one panel rule (_panels): the interval is split
 at the integrand's breakpoints and each panel is bisected until the two
 trailing coefficients of its CHEB_N-point Chebyshev interpolant are
 negligible; the panel's integral is then exact for that interpolant.  The
-walk goes one bisection level at a time, so each level is sampled in one
-call, and the panels of a sample call are fitted in one stacked product.
-The walk of W over a lone bump samples the bump's whole panel tree in one
-call before the first level, so a critical_test probe samples W's integrand
-once, and DuSolution reads W, at a float or at any set of nodes, in one
-Clenshaw pass (_clenshaw, chebval's recurrence).
+walk goes one bisection level at a time and reads its fits from one table:
+each level fits the panels the table lacks in one sample call and one
+stacked product (_fit).  The walk of W over a lone bump seeds that table
+with the bump's whole panel tree, sampled in one call, so a critical_test
+probe samples W's integrand once, and DuSolution reads W, at a float or at
+any set of nodes, in one Clenshaw pass (_clenshaw, chebval's recurrence).
 
 A function of t is immutable once built, and each one keeps a memo of its
 last MEMO_SIZE derivs reads, so it computes its jets once per set of points:
@@ -46,7 +46,7 @@ from .el_ode import Trajectory
 from .errors import InfeasibleVariationError, QuadratureError, SingularJetError, SingularTimeError
 from .schwarzian import Jet4, VarJet, boundary_B, boundary_terms, d_u, el_rhs, guarded, lagrangian, schwarzian
 from .symbolics import (Const, Div, Expr, Func, Mul, Neg, Sub, TaylorProgram, TaylorScalar, Var, derivatives,
-                        first_where, parse, taylor_eval, variables_of)
+                        first_where, parse, variables_of)
 
 CURVE_P_FLOOR = 1e-8
 # relative rounding allowed in u between two samples of the regularity check
@@ -91,6 +91,21 @@ _CHEB_FIT[0] /= 2.0
 _CHEB_INT = chebint(np.eye(CHEB_N), lbnd=-1.0)
 
 
+# a sample that is not finite is refused by _panels, on its panel's tail, so
+# numpy does not warn of it first
+@np.errstate(over="ignore", invalid="ignore")
+def _fit(sample, level) -> list:
+    """(coefficients, tail, largest coefficient) of each panel of level, a
+    list of (lo, hi), from one sample call over all their nodes; the two
+    maxima as Python floats from one reduction each."""
+    values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
+    coefs = _CHEB_FIT @ values.reshape(len(level), CHEB_N, -1)
+    size = np.abs(coefs)
+    return list(zip(coefs.reshape((len(level), CHEB_N) + values.shape[1:]),
+                    np.maximum.reduce(size[:, -2:], axis=(1, 2)).tolist(),
+                    np.maximum.reduce(size, axis=(1, 2)).tolist()))
+
+
 def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expected=()) -> list:
     """Chebyshev panels that resolve an integrand on [a, b], left to right.
 
@@ -103,37 +118,23 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expecte
     T_j(1) = 1.  Raises QuadratureError on a panel whose coefficients are
     not finite, and past CHEB_MAX_PANELS panels.
 
-    The walk goes one bisection level at a time: each level is sampled in one
-    sample call over the nodes of the panels it lacks a fit for, and the
-    panels of that call are fitted in one product over their stack, whose
-    every slice runs the one-panel product (BLAS's gemv for one column, gemm
-    for more), so each fit has the bits of the panel's own.  Each panel is
-    then decided on its tail as a Python float.  expected, (lo, hi) pairs,
-    are the panels the caller expects the walk to reach: they are sampled
-    together in one call before the first level, so a walk whose guess holds
-    samples once.  If that call raises, the walk goes on without it, and an
-    expected panel the walk does not reach is never tested.  As a node's
-    value does not depend on the other nodes of its array, every panel is
-    the one a walk panel by panel would give, bit for bit, and so is every
-    error."""
-    # a sample that is not finite is refused below, by its panel's tail, so
-    # numpy does not warn of it first
-    @np.errstate(over="ignore", invalid="ignore")
-    def fit(level):
-        """(coefficients, tail, largest coefficient) of each panel of level,
-        the two maxima as Python floats from one reduction each."""
-        values = sample(np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_NODES for lo, hi in level]))
-        coefs = _CHEB_FIT @ values.reshape(len(level), CHEB_N, -1)
-        size = np.abs(coefs)
-        return list(zip(coefs.reshape((len(level), CHEB_N) + values.shape[1:]),
-                        np.maximum.reduce(size[:, -2:], axis=(1, 2)).tolist(),
-                        np.maximum.reduce(size, axis=(1, 2)).tolist()))
-
-    # the fits of expected panels that no level has taken yet
-    ready = {}
+    The walk goes one bisection level at a time, and reads every fit from
+    one table, by panel: each level fits the panels the table lacks in one
+    _fit, that is one sample call over their nodes and one product over
+    their stack, whose every slice runs the one-panel product (BLAS's gemv
+    for one column, gemm for more), so each fit has the bits of the panel's
+    own.  Each panel is then decided on its tail as a Python float.
+    expected, (lo, hi) pairs, are the panels the caller expects the walk to
+    reach: their fits seed the table, in one _fit before the first level,
+    so a walk whose guess holds samples once.  If that _fit raises, the walk
+    starts from an empty table, and an expected panel the walk does not
+    reach is never tested.  As a node's value does not depend on the other
+    nodes of its array, every panel is the one a walk panel by panel would
+    give, bit for bit, and so is every error."""
+    fits = {}
     if expected:
         try:
-            ready = dict(zip(expected, fit(expected)))
+            fits = dict(zip(expected, _fit(sample, expected)))
         except Exception:
             # dropped: a level that reaches the node that raised raises it
             # again, and a walk that reaches none of them does not raise
@@ -142,18 +143,14 @@ def _panels(sample, a: float, b: float, breakpoints, floor: float = 0.0, expecte
     level = list(zip(edges[:-1], edges[1:]))
     done, tol = [], None
     while level:
-        # while expected fits are left, a level samples only the panels it lacks
-        if ready:
-            lacking = [panel for panel in level if panel not in ready]
-            if lacking:
-                ready.update(zip(lacking, fit(lacking)))
-            fits = [ready.pop(panel) for panel in level]
-        else:
-            fits = fit(level)
+        lacking = [panel for panel in level if panel not in fits]
+        if lacking:
+            fits.update(zip(lacking, _fit(sample, lacking)))
         if tol is None:
-            tol = max(CHEB_TAIL * max(peak for *_, peak in fits), floor)
+            tol = max(CHEB_TAIL * max(fits[panel][2] for panel in level), floor)
         halves = []
-        for i, ((lo, hi), (coef, tail, _)) in enumerate(zip(level, fits)):
+        for i, (lo, hi) in enumerate(level):
+            coef, tail, _ = fits[lo, hi]
             if not math.isfinite(tail):
                 raise QuadratureError(f"quadrature over [{a:g}, {b:g}]: the integrand is not finite "
                                       f"on the panel [{lo:g}, {hi:g}]", tail * (hi - lo))
@@ -300,7 +297,8 @@ class VariationFn:
 class ExprVariation(VariationFn):
     """Variation given by an expression in t alone; derivatives via Taylor
     arithmetic, so they are exact.  The expression is compiled once, into
-    the TaylorProgram that each read runs."""
+    the TaylorProgram that each read runs on t's series about the points
+    read (TaylorScalar.variable), with the bits of taylor_eval on it."""
 
     def __init__(self, source: Union[str, Expr]):
         self.expr = parse(source) if isinstance(source, str) else source
@@ -317,11 +315,13 @@ class ExprVariation(VariationFn):
     @np.errstate(over="ignore", invalid="ignore")
     def derivs(self, t):
         # at an array, one batch of series based at every node
-        return _rows(derivatives(taylor_eval(self.program, {"t": TaylorScalar.variable(t, 3)}).coeffs), t)
+        x = TaylorScalar.variable(t, 3)
+        return _rows(derivatives(self.program.run(x.base_point, {"t": x.coeffs}, 3)), t)
 
     @np.errstate(over="ignore", invalid="ignore")
     def fourth(self, t):
-        return taylor_eval(self.program, {"t": TaylorScalar.variable(t, 4)}).derivative(4)
+        x = TaylorScalar.variable(t, 4)
+        return derivatives(self.program.run(x.base_point, {"t": x.coeffs}, 4)[4:], 4)[0]
 
     def describe(self) -> str:
         return f"expr:{self.text}"
@@ -516,10 +516,10 @@ class DuSolution(VariationFn):
     same panel jets as `schwarzian_integral`.  W is read by _cumulative, at
     a float or on an array, with chebval's bits.
 
-    When phi is a BumpFn, the walk is handed the panels it is expected to
-    reach: the two panels outside the support and the bump's panel tree on
-    it (_bump_tree), all sampled in one call.  The panels are those of the
-    walk without them, bit for bit.
+    When phi is a BumpFn, the walk's table of fits is seeded with the panels
+    it is expected to reach: the two panels outside the support and the
+    bump's panel tree on it (_bump_tree), all sampled in one call.  The
+    panels are those of the walk without them, bit for bit.
     """
 
     def __init__(self, u: CurveFn, phi: VariationFn, v0: float):
@@ -688,14 +688,12 @@ class AdmissibleVariation(VariationFn):
 
 def admissible_variation(u: CurveFn, phi: VariationFn, eps: float) -> AdmissibleVariation:
     """Construct the admissible variation for a bump (or combination of
-    bumps) phi supported in (t0 + eps, t1)."""
+    bumps) phi supported in (t0 + eps, t1): its support is read as
+    [min, max] of phi.breakpoints, a bump's two ends."""
     t0, t1 = u.domain
-    support = getattr(phi, "support", None)
-    if support is None:
-        if not phi.breakpoints:
-            raise ValueError("phi must be compactly supported (a bump or combination of bumps)")
-        support = (min(phi.breakpoints), max(phi.breakpoints))
-    lo, hi = support
+    if not phi.breakpoints:
+        raise ValueError("phi must be compactly supported (a bump or combination of bumps)")
+    lo, hi = min(phi.breakpoints), max(phi.breakpoints)
     if not (t0 + eps < lo and hi < t1):
         raise ValueError(
             f"bump support [{lo:g}, {hi:g}] must lie inside ({t0 + eps:g}, {t1:g})"

@@ -17,6 +17,7 @@ from schwarzlab.el_ode import integrate
 from schwarzlab.errors import (EvalDomainError, InfeasibleVariationError, QuadratureError, SingularJetError,
                                SingularTimeError)
 from schwarzlab.schwarzian import Jet4, boundary_B, lagrangian, schwarzian
+from schwarzlab.symbolics import TaylorScalar, derivatives, taylor_eval
 from schwarzlab.variation import (
     FORMS,
     BumpFn,
@@ -449,6 +450,39 @@ def test_solve_du_two_bumps_on_tan():
     assert v.residual() <= 1e-9
 
 
+# (center, radius, amplitude) of bumps on tan's (0.1, 1), one of them narrow
+ORACLE_BUMPS = [(0.35, 0.15, 1.2), (0.6, 0.05, 0.8), (0.75, 0.2, 1.0)]
+
+
+@pytest.mark.parametrize("center, radius, amplitude", ORACLE_BUMPS)
+def test_du_solution_on_tan_matches_a_30_digit_oracle(center, radius, amplitude):
+    # on u = tan, phi/u' = phi cos^2 and S(u) = 2, so W(t) = int_t0^t phi cos^2
+    # and schwarzian_integral = 2 W(t1); the oracle integrates phi cos^2 with
+    # mpmath at 30 digits, split at the support and its centre
+    mp = pytest.importorskip("mpmath")
+    t0, t1 = 0.1, 1.0
+    v = solve_du(ExprCurve("tan(t)", (t0, t1)), BumpFn(center, radius, amplitude), 0.0)
+    with mp.workdps(30):
+        c, r, a = mp.mpf(center), mp.mpf(radius), mp.mpf(amplitude)
+
+        def oracle(t):
+            t = mp.mpf(t)
+            if t <= c - r:
+                return mp.mpf(0)
+            ends = [c - r] + [c] * (t > c) + [min(t, c + r)]
+            return mp.quad(lambda x: a * mp.exp(-1 / (1 - ((x - c) / r) ** 2)) * mp.cos(x) ** 2, ends)
+
+        ts = np.linspace(t0, t1, 13).tolist()
+        errors = [abs(mp.mpf(v._cumulative(t)) - oracle(t)) for t in ts]
+        integral_error = abs(mp.mpf(v.schwarzian_integral) - 2 * oracle(t1))
+    # every panel's two trailing coefficients are <= CHEB_TAIL * scale, the
+    # scale about the integrand's peak, below amplitude, and the panels' widths
+    # sum to t1 - t0: W is off by about CHEB_TAIL * amplitude * (t1 - t0) at most
+    bound = variation.CHEB_TAIL * amplitude * (t1 - t0)
+    assert max(errors) <= bound
+    assert integral_error <= 2.0 * bound
+
+
 def test_solve_du_unresolved_phi_raises():
     # about 480 periods do not fit into the panel budget
     with pytest.raises(QuadratureError, match="not resolved"):
@@ -511,6 +545,16 @@ def test_admissible_support_check():
     u = ExprCurve("t", (0.0, 1.0))
     with pytest.raises(ValueError):
         admissible_variation(u, BumpFn(0.1, 0.09, 1.0), 0.05)  # support starts left of eps
+
+
+def test_admissible_support_check_reads_a_negative_radius_bump_in_ascending_order():
+    # radius -0.2 gives the support [0.3, 0.7]: its ends are read as the min
+    # and max of the breakpoints, whichever way the radius runs
+    u = ExprCurve("t", (0.0, 1.0))
+    inside = admissible_variation(u, BumpFn(0.5, -0.2, 1.0), 0.05)
+    assert inside.delta_IS() == admissible_variation(u, BumpFn(0.5, 0.2, 1.0), 0.05).delta_IS()
+    with pytest.raises(ValueError, match=re.escape("bump support [0.7, 1.3] must lie inside (0.05, 1)")):
+        admissible_variation(u, BumpFn(1.0, -0.3, 1.0), 0.05)
 
 
 def test_admissible_variation_refuses_a_variation_without_support():
@@ -645,6 +689,28 @@ def test_bump_value_is_the_first_derivs_entry():
         lo, hi = bump.support
         for t in rng.uniform(lo, hi, 50).tolist():
             assert bump.value(t) == bump.derivs(t)[0]
+
+
+@pytest.mark.parametrize("t", [0.7, np.float64(0.7), 2], ids=["float", "float64", "int"])
+def test_expr_variation_reads_have_the_bits_of_taylor_eval(t):
+    # derivs and fourth run the program on t's series directly
+    v = ExprVariation("exp(t)*sin(t) + ln(t)/t^2 - tan(t/3)")
+    want = [*derivatives(taylor_eval(v.program, {"t": TaylorScalar.variable(t, 3)}).coeffs),
+            taylor_eval(v.program, {"t": TaylorScalar.variable(t, 4)}).derivative(4)]
+    got = [*v.derivs(t), v.fourth(t)]
+    assert {type(x) for x in got} == {float}
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("t", [-1.0, np.float64(-1.0), -1], ids=["float", "float64", "int"])
+@pytest.mark.parametrize("order", [3, 4])
+def test_expr_variation_reads_outside_the_domain_raise_as_taylor_eval_does(t, order):
+    v = ExprVariation("ln(t)")
+    with pytest.raises(EvalDomainError) as want:
+        taylor_eval(v.program, {"t": TaylorScalar.variable(t, order)})
+    with pytest.raises(EvalDomainError) as got:
+        v.derivs(t) if order == 3 else v.fourth(t)
+    assert str(got.value) == str(want.value) == "ln of a non-positive series value at t = -1.0"
 
 
 def test_linear_combination():
@@ -837,19 +903,20 @@ def test_six_forms_calls_read_v_at_most_4_times_on_shared_arrays(monkeypatch):
     # and u, which read that grid when it was built, on the rest
     u = MobiusCurve(MobiusFamily(1.0, 0.3, 0.2, 1.0, 1.5), (0.0, 1.0))
     v = ExprVariation("0.2 + 0.5*t - 0.3*t^2 + 0.1*t^3 + 0.7*sin(t)")
-    calls = {"taylor_eval": 0, "family_derivs": 0}
-    for name in calls:
-        def counted(*args, name=name, inner=getattr(variation, name)):
+    calls = {"v": 0, "family_derivs": 0}
+    # v's series come from runs of its program, u's jets from family_derivs
+    for name, owner, attr in (("v", v.program, "run"), ("family_derivs", variation, "family_derivs")):
+        def counted(*args, name=name, inner=getattr(owner, attr)):
             calls[name] += 1
             return inner(*args)
 
-        monkeypatch.setattr(variation, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     for form in ("direct", "by_parts", "du_factored"):
         delta_form(form, u, v, 0.0, 1.0)
     delta_fd("I_L", u, v)
     functional_IS(u, 0.0, 1.0)
     functional_IL(u, 0.0, 1.0)
-    assert calls["taylor_eval"] <= 4
+    assert 1 <= calls["v"] <= 4
     assert calls["family_derivs"] <= 3
 
 
