@@ -1,39 +1,33 @@
-"""Adaptive integration of the fourth-order stationarity equation as a
-first-order system on jets, with scipy's DOP853 (the Dormand-Prince 8(5,3)
-pair) and continuous monitoring of the two first integrals.  The samples
-are the accepted steps; the dense output that interpolates between them is
-built only when a caller reads it (Trajectory.jet_at).
+"""Integration of the fourth-order stationarity equation u'''' = F(p, q, r)
+by Taylor steps, with continuous monitoring of the two first integrals.
+Each step expands the formal solution through the current jet with one
+relaxed sweep of F's Taylor program (symbolics.flow_sweep), takes its size
+from the last coefficients, and reads u, p, q and r at its end by Horner's
+rule (Jorba & Zou, "A software package for the numerical integration of
+ODEs by means of high-order Taylor methods", Experimental Mathematics 14,
+2005).  The samples are the start and the step ends, and the dense output
+between them is each step's own polynomials (Trajectory.jet_at).
 
 Integration stops gracefully (status "stopped-near-singularity") for one of
-two reasons: a pole of u lies ahead, known in closed form from the exact
-solution through the initial jet, u + p G(s)/(1 - c G(s)) with c = q/(2p)
-(closed_form.generator_solve), as |u'| grows without bound there and no
-event on the state sees it coming; or |p| decays below SINGULARITY_FLOOR,
-where the right-hand side blows up although u stays finite (u = e^t /
-(e^t + 1) as t grows).  A terminal event watches that floor, but only on the
-runs that need it: those where the exact solution reaches the floor before
-the run ends (_floor_times), and the rare rest that, solved without it, fail,
-meet a floating-point error or leave a sample on the floor, which are solved
-again with the event.  The event only tests the sign of |p| -
-SINGULARITY_FLOOR at each step's end and never changes the steps, so every
-run gives what a run that always watches would give, warnings included.
-
-scipy is imported by the first solve, not with this module: the rest of the
-package (Taylor programs, Moebius families, Chebyshev panels) never needs it.
+two reasons, both in closed form from the exact solution through the
+initial jet, u + p G(s)/(1 - c G(s)) with c = q/(2p)
+(closed_form.generator_solve): a pole of u lies ahead, as |u'| grows
+without bound there; or |p| decays to SINGULARITY_FLOOR, where the
+right-hand side blows up although u stays finite (u = e^t / (e^t + 1) as t
+grows).  The run lands exactly on the first of these stops, or on t_end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .closed_form import generator_solve
 from .errors import IntegrationError, SingularJetError
-from .schwarzian import Jet4, mercator_c, schwarzian
-from .symbolics import first_where
+from .schwarzian import EL_FIELD_TEXT, Jet4, el_rhs, mercator_c, schwarzian
+from .symbolics import FLOW_INPUTS, TaylorProgram, first_where, flow_sweep, parse
 
 SINGULARITY_FLOOR = 1e-8
 # distance in t at which a run stops before a pole of u
@@ -45,21 +39,34 @@ STATUS_STOPPED = "stopped-near-singularity"
 
 CSV_HEADER = "t,u,p,q,r,S,C"
 
+# F compiled once; el_field()'s F has its shape, so the two share their
+# generated coefficient functions
+_EL = TaylorProgram(parse(EL_FIELD_TEXT), FLOW_INPUTS)
+
+
+def _horner(coeffs, h):
+    """The polynomial with these coefficients, lowest first, at h: floats,
+    or arrays over the same points."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * h + c
+    return acc
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled numerical solution: every accepted step of the integrator,
-    ascending in t, with per-sample first-integral values.  A run of zero
-    length has one sample.  solve_dense reruns the solve that made the
-    samples with dense output on; dense calls it on first read and keeps
-    the interpolant, whose steps are the samples."""
+    """A sampled numerical solution: the start and every step's end, ascending
+    in t, with per-sample first-integral values.  steps holds, in the run's
+    direction, each step's start and end times and its coefficients of u,
+    p, q and r in powers of t - start: the dense output.  A run of zero
+    length has one sample, and one step of constants."""
 
     samples: tuple
     s_values: tuple
     c_values: tuple
     tolerance: float
     status: str
-    solve_dense: object = field(repr=False, compare=False, default=None)
+    steps: tuple = field(repr=False, compare=False, default=())
     t_start: float = 0.0
     t_final: float = 0.0
 
@@ -69,40 +76,23 @@ class Trajectory:
         samples[0] for backward runs."""
         return self.samples[-1] if self.t_final >= self.t_start else self.samples[0]
 
-    @cached_property
-    def dense(self):
-        """The dense-output interpolant (a scipy OdeSolution)."""
-        return self.solve_dense()
-
     def jet_at(self, t) -> Jet4:
-        """Dense-output jet at any t inside the integration span: a jet of
-        floats at a float t, and at a 1-D array t a jet of arrays over it,
-        read in one call, whose entry k equals jet_at(t[k])."""
+        """Dense-output jet at any t inside the integration span, from the
+        polynomials of the first step that ends at or past t: a jet of floats
+        at a float t, and at a 1-D array t a jet of arrays over it, read in
+        one call, whose entry k equals jet_at(t[k]).  At a sample's t it is
+        that sample."""
         lo, hi = min(self.t_start, self.t_final), max(self.t_start, self.t_final)
         outside = first_where(np.logical_not((lo <= t) & (t <= hi)), t)
         if outside is not None:
             raise ValueError(f"t = {outside} outside integration span [{lo}, {hi}]")
-        y = self.dense(t)
-        return Jet4(t, *(y if isinstance(t, np.ndarray) else map(float, y)))
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
-def _rhs(t, y):
-    p, q, r = y[1], y[2], y[3]
-    return (p, q, r, -3.0 * q ** 3 / p ** 2 + 4.0 * q * r / p)
-
-
-def _p_floor(t, y):
-    return abs(y[1]) - SINGULARITY_FLOOR
-
-
-_p_floor.terminal = True
+        x = np.atleast_1d(t)
+        d = 1.0 if self.t_final >= self.t_start else -1.0
+        starts, ends, polys = zip(*self.steps)
+        i = np.searchsorted(d * np.array(ends), d * x)
+        h = x - np.array(starts)[i]
+        y = [_horner(np.array([c[n] for c in polys])[i].T, h) for n in range(4)]
+        return Jet4(t, *(y if isinstance(t, np.ndarray) else (float(v[0]) for v in y)))
 
 
 def _floor_times(sigma: float, p: float, c: float, lo: float, hi: float) -> list:
@@ -135,18 +125,33 @@ def _floor_times(sigma: float, p: float, c: float, lo: float, hi: float) -> list
     return sorted(s for g in roots for s in generator_solve(sigma, g, 1.0, lo, hi))
 
 
+def _taylor_step(y: tuple, t: float, order: int, inner: float) -> tuple:
+    """(polys, h): the polynomials of u, p, q and r, of degrees order + 3
+    down to order, that the formal solution through the jet (t, *y) gives,
+    with y as their constant terms, and the step size they allow.  h is the
+    smaller of two bounds, each over the last two coefficients c_j: that of
+    each series, (inner max(1, |y|)/|c_j|)^(1/j), keeps the truncation
+    error within inner, and that of p's, e^-2 |p_0/p_j|^(1/j), keeps the
+    step well inside the series' radius of convergence."""
+    _, flow = flow_sweep(_EL, (t, *y), order + 3)
+    polys = tuple([y0, *flow[n][1:]] for y0, n in zip(y, "upqr"))
+    p, last = polys[1], lambda c: (len(c) - 2, len(c) - 1)
+    rate = max([(abs(c[j]) / (inner * max(1.0, abs(c[0])))) ** (1.0 / j) for c in polys for j in last(c)]
+               + [math.e ** 2 * abs(p[j] / p[0]) ** (1.0 / j) for j in last(p)])  # 1/h
+    return polys, 1.0 / rate if rate else math.inf
+
+
 def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
-    """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end with DOP853,
-    local error control at tol.  Works in either time direction.  Stops
-    POLE_MARGIN before the first pole of u on the way (or halfway to a pole
-    nearer than twice that), or where |p| falls below SINGULARITY_FLOOR: the
-    floor event is attached where the exact solution through init reaches
-    the floor before the run ends, and otherwise only to a rerun of a run
-    that failed, met a floating-point overflow, division by zero or invalid
-    operation, or left a sample on or below the floor.
+    """Solve (u, p, q, r)' = (p, q, r, F) from init.t to t_end by Taylor
+    steps, with the error of each step held to a fraction of tol relative to
+    max(1, |y|).  Works in either time direction.  Stops POLE_MARGIN before
+    the first pole of u on the way (or halfway to a pole nearer than twice
+    that), or where |p| falls to SINGULARITY_FLOOR on the exact solution
+    through init, whichever comes first, landing exactly there.
     A jet or t_end that is not finite, a span t_end - init.t that
     overflows, or a jet where F is not finite, on which no step can be
-    taken, raises ValueError."""
+    taken, raises ValueError; a step whose values are not finite, or that
+    does not move t, raises IntegrationError."""
     if not all(math.isfinite(x) for x in (*init.as_tuple(), t_end)):
         raise ValueError(f"need a finite jet and t_end, got {init.as_tuple()} and {t_end}")
     if not math.isfinite(t_end - init.t):
@@ -155,11 +160,7 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         raise ValueError(f"tolerance {tol} outside [{TOL_MIN}, {TOL_MAX}]")
     if abs(init.p) < SINGULARITY_FLOOR:
         raise SingularJetError(f"singular initial jet (p = {init.p})")
-    # F as the solver computes it, on float64.  Where it is not finite no
-    # step can be taken, and where it is NaN (inf - inf) the solver would
-    # never return: a step size of NaN is neither accepted nor refused
-    with np.errstate(all="ignore"):
-        f0 = _rhs(init.t, np.array(init.as_tuple()[1:]))[3]
+    f0 = el_rhs(init)
     if not math.isfinite(f0):
         raise ValueError(f"F = {f0} at the initial jet {init.as_tuple()}: no step can be taken")
     # internal safety factor so the accumulated endpoint error stays well
@@ -183,53 +184,38 @@ def integrate(init: Jet4, t_end: float, tol: float) -> Trajectory:
         # near the pole the endpoint error grows like the phase error over
         # the margin, and the phase error like tol over the distance run
         inner *= margin / dist
-    inner = max(inner, 3e-14)  # the float64 rtol floor
-
-    def solve(events, dense_output):
-        # dense output adds stages after each accepted step and leaves the
-        # step selection alone, so both calls take the same steps
-        return solve_ivp(_rhs, (init.t, t_stop), (init.u, init.p, init.q, init.r), method="DOP853",
-                         rtol=inner, atol=inner, events=events, dense_output=dense_output)
-
-    # the floor event where the exact solution meets the floor on the way;
-    # for S > 0 its slope repeats with the poles, within the same window.
-    # The event fires only at a step end where |p| <= SINGULARITY_FLOOR, or
-    # at the step after one, so a run without it that did not fail and whose
-    # samples all stay above the floor took the steps of the run with it,
-    # and ended where that run ends.  Its floating-point errors raise, so it
-    # shows no warning: a run that met one is solved again with the event,
-    # and any warnings are that run's
-    sol = None
-    if not _floor_times(sigma, init.p, c, *sorted((0.0, span))):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                sol = solve(None, False)
-        except FloatingPointError:
-            pass
-    events = None
-    if sol is None or sol.status < 0 or np.abs(sol.y[1]).min() <= SINGULARITY_FLOOR:
-        events = _p_floor
-        sol = solve(events, False)
-    if sol.status < 0:
-        raise IntegrationError(f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
-    status = STATUS_STOPPED if sol.status == 1 or t_stop != t_end else STATUS_COMPLETED
-    ts, ys = sol.t, sol.y
-    if t_stop == init.t:  # the solver reports the start twice
-        ts, ys = ts[:1], ys[:, :1]
-    if ts[0] > ts[-1]:
-        ts, ys = ts[::-1], ys[:, ::-1]
-    samples = tuple(map(Jet4, ts.tolist(), *ys.tolist()))
-    jets = Jet4(ts, *ys)
-    return Trajectory(
-        samples=samples,
-        s_values=tuple(schwarzian(jets).tolist()),
-        c_values=tuple(mercator_c(jets).tolist()),
-        tolerance=tol,
-        status=status,
-        solve_dense=lambda: solve(events, True).sol,
-        t_start=init.t,
-        t_final=float(sol.t[-1]),
-    )
+    # a truncation error below float64's unit roundoff is lost in the sum's
+    # rounding, and a finer target only raises the order
+    inner = max(inner, 2.0 ** -53)
+    # the first time the exact slope meets the floor, before any pole stop;
+    # for S > 0 it repeats with the poles, within the same window
+    floors = _floor_times(sigma, init.p, c, *sorted((0.0, span)))
+    if floors:
+        t_stop = init.t + min(floors, key=abs)
+    # Jorba & Zou's order, at which the last terms fall to inner at about
+    # e^-2 of the radius
+    order = max(8, math.ceil(-math.log(inner) / 2.0) + 1)
+    direction, nearer = (1.0, min) if t_stop >= init.t else (-1.0, max)
+    samples, steps = [Jet4(*map(float, init.as_tuple()))], []
+    t, y = samples[0].t, samples[0].as_tuple()[1:]
+    while t != t_stop:
+        polys, h = _taylor_step(y, t, order, inner)
+        t_next = nearer(t + direction * h, t_stop)
+        y = tuple(_horner(poly, t_next - t) for poly in polys)
+        if t_next == t or not all(math.isfinite(x) for x in y):
+            raise IntegrationError(f"integration failed at t = {t:g}: a step of size {h:g} ends at {t_next!r} "
+                                   f"on {y}")
+        steps.append((t, t_next, polys))
+        t = t_next
+        samples.append(Jet4(t, *y))
+    if not steps:
+        steps.append((t, t, tuple([y0] for y0 in y)))
+    samples.sort(key=lambda s: s.t)
+    jets = Jet4(*np.array([s.as_tuple() for s in samples]).T)
+    return Trajectory(samples=tuple(samples), s_values=tuple(schwarzian(jets).tolist()),
+                      c_values=tuple(mercator_c(jets).tolist()), tolerance=tol,
+                      status=STATUS_COMPLETED if t_stop == t_end else STATUS_STOPPED, steps=tuple(steps),
+                      t_start=init.t, t_final=t)
 
 
 def invariant_drift(traj: Trajectory) -> tuple:

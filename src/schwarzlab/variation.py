@@ -542,7 +542,7 @@ class DuSolution(VariationFn):
 
         expected = ()
         if isinstance(phi, BumpFn):
-            lo, hi = phi.support
+            lo, hi = min(phi.support), max(phi.support)
             expected = [(self.t0, lo), *_bump_tree(lo, hi), (hi, self.t1)]
         lefts, rights, antiderivs = zip(*_panels(sample, self.t0, self.t1, phi.breakpoints, 0.0, expected))
         # the antiderivatives of (W, int S phi/u'), one panel a row

@@ -4,7 +4,7 @@ utility used as an independent oracle, the exact jet of a family by mpmath
 as the oracle of the closed form and the integrator, and a solver that
 gives up."""
 
-from types import SimpleNamespace
+import math
 
 import numpy as np
 import pytest
@@ -184,7 +184,14 @@ def max_rel_error(got: Jet4, want: Jet4) -> float:
 
 @pytest.fixture
 def failing_solver(monkeypatch):
-    """el_ode's solve_ivp replaced by one that gives up at t = 0.7."""
-    failed = SimpleNamespace(status=-1, t=np.array([0.0, 0.7]),
-                             message="Required step size is less than spacing between numbers.")
-    monkeypatch.setattr(el_ode, "solve_ivp", lambda *args, **kwargs: failed)
+    """el_ode's Taylor steps made to land on t = 0.7 and fail there: a step
+    that would pass 0.7 ends on it, and one from 0.7 on has values of NaN."""
+    taylor_step = el_ode._taylor_step
+
+    def failing(y, t, order, inner):
+        polys, h = taylor_step(y, t, order, inner)
+        if t >= 0.7:
+            return tuple([math.nan] * len(c) for c in polys), h
+        return polys, min(h, 0.7 - t)
+
+    monkeypatch.setattr(el_ode, "_taylor_step", failing)

@@ -2,6 +2,7 @@
 first-integral conservation, convergence, time reversal, and the CSV export
 format."""
 
+import importlib.util
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import pytest
 
 from conftest import exact_jet, max_rel_error, nonsingular_window, random_family, random_jet
 from schwarzlab import el_ode
-from schwarzlab.closed_form import MobiusFamily, family_derivs, family_eval_jet, family_of_jet, family_singularities
+from schwarzlab.closed_form import (MobiusFamily, family_derivs, family_eval_jet, family_of_jet, family_singularities,
+                                    generator_solve)
 from schwarzlab.el_ode import (
     POLE_MARGIN,
     SINGULARITY_FLOOR,
@@ -27,9 +29,10 @@ from schwarzlab.el_ode import (
     trajectory_csv,
     write_csv,
 )
-from schwarzlab.errors import IntegrationError, SingularJetError
+from schwarzlab.errors import IntegrationError, SchwarzLabError, SingularJetError
 from schwarzlab.schwarzian import Jet4, schwarzian
 
+ROOT = Path(__file__).resolve().parents[1]
 TAN_FAMILY = MobiusFamily(1, 0, 0, 1, 2.0)
 EXP2_FAMILY = MobiusFamily(1, 0, 0, 1, -2.0)
 
@@ -51,8 +54,7 @@ def test_tan_jet_reaches_tan_of_one():
 
 
 def test_tan_jet_in_few_steps():
-    # the 8th-order pair reaches tan(1) at tol 1e-12 in 48 accepted steps,
-    # where the 5th-order one took 564
+    # Taylor steps of degree 20 reach tan(1) at tol 1e-12 in 11 steps
     tol = 1e-12
     traj = integrate(Jet4(0, 0, 1, 0, 2), 1.0, tol)
     assert abs(traj.final.u - math.tan(1.0)) <= 10 * tol * math.tan(1.0)
@@ -67,69 +69,37 @@ def test_zero_length_run_has_one_sample():
     assert traj.jet_at(0.5) == start
 
 
-def test_dense_output_is_built_on_first_read(monkeypatch):
-    calls = []
-    solve_ivp = el_ode.solve_ivp
+# the README's command lines and their documented exit codes
+spec = importlib.util.spec_from_file_location("cold_start", ROOT / "tools" / "cold_start.py")
+cold_start = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cold_start)
 
-    def counting_solve_ivp(*args, **kwargs):
-        calls.append(kwargs["dense_output"])
-        return solve_ivp(*args, **kwargs)
+# a fresh process where any import of scipy raises: the exit code of each
+# README command, run in the working directory given, output swallowed, and
+# the samples of one integrate run
+WITHOUT_SCIPY = """
+import contextlib, io, json, os, sys
 
-    monkeypatch.setattr(el_ode, "solve_ivp", counting_solve_ivp)
-    # forward, backward, and stopped by the |p| floor event
-    runs = ((Jet4(0, 0, 1, 0, 2), 1.0), (Jet4(1.0, 1.0, 1.0, 0.5, 0.0), 0.0),
-            (family_eval_jet(MobiusFamily(1, 0, 1, 1, -0.5), 0.0), 30.0))
-    for start, t_end in runs:
-        calls.clear()
-        traj = integrate(start, t_end, 1e-10)
-        assert calls == [False]
-        traj.jet_at(traj.samples[1].t)
-        assert calls == [False, True]
-        traj.jet_at(traj.samples[-2].t)
-        assert calls == [False, True]
-        # the dense run takes the steps of the first one
-        assert sorted(traj.dense.ts.tolist()) == [j.t for j in traj.samples]
+sys.modules["scipy"] = None
+from schwarzlab import Jet4, cli, integrate
 
-
-# a fresh process: which modules each step leaves loaded, and the samples of
-# the run that loads scipy; each README command's output is swallowed
-SCIPY_ON_FIRST_SOLVE = """
-import contextlib, io, json, sys
-
-seen = {}
-import schwarzlab
-seen["import schwarzlab"] = "scipy" in sys.modules
-from schwarzlab import cli
-seen["import schwarzlab.cli"] = "scipy" in sys.modules
-for argv in (["invariants", "--field", "EL", "--jet", "0,0,1,0,2"],
-             ["family", "--sigma", "2", "--A", "1", "--B", "0", "--C", "0", "--D", "1",
-              "--verify", "100", "--jet-at", "0.5"],
-             ["linearize", "--field", "EL", "--base", "exp", "--t", "0.3"],
-             ["variation", "--u", "tan(t)", "--interval", "0.1,1", "--n", "50"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    seen[f"{argv[0]} (exit {code})"] = "scipy" in sys.modules
-from schwarzlab import Jet4, integrate
+os.chdir(sys.argv[1])
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
 traj = integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)
-seen["integrate"] = "scipy" in sys.modules
-print(json.dumps({"seen": seen, "samples": repr(traj.samples)}))
+print(json.dumps({"codes": codes, "samples": repr(traj.samples)}))
 """
 
 
-def test_scipy_is_loaded_by_the_first_solve_only():
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_SOLVE], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+def test_no_command_loads_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argvs, codes = zip(*cold_start.COMMANDS)
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path), json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report["seen"] == {
-        "import schwarzlab": False,
-        "import schwarzlab.cli": False,
-        "invariants (exit 0)": False,
-        "family (exit 0)": False,
-        "linearize (exit 0)": False,
-        "variation (exit 0)": False,
-        "integrate": True,
-    }
+    assert report["codes"] == list(codes)
     assert report["samples"] == repr(integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10).samples)
 
 
@@ -216,44 +186,18 @@ LOGISTIC = Jet4(0.0, 0.5, 0.25, 0.0, -0.125)
 LOGISTIC_FLOOR_T = 2.0 * math.acosh(0.5 / math.sqrt(SINGULARITY_FLOOR))
 
 
-def recording_solve_ivp(monkeypatch, force=False):
-    """Replace el_ode.solve_ivp by one that records the events of each call
-    and, with force, always watches the floor: the path of every run before
-    the floor event was attached only where needed."""
-    events = []
-    solve_ivp = el_ode.solve_ivp
-
-    def recording(*args, **kwargs):
-        events.append(kwargs["events"])
-        if force:
-            kwargs["events"] = el_ode._p_floor
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(el_ode, "solve_ivp", recording)
-    return events
-
-
-def test_floor_event_only_where_the_exact_solution_reaches_it(monkeypatch):
-    events = recording_solve_ivp(monkeypatch)
-    integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)
-    assert events == [None]
+def test_floor_event_only_where_the_exact_solution_reaches_it():
     for t_end in (30.0, -30.0):
-        events.clear()
         traj = integrate(LOGISTIC, t_end, 1e-10)
-        assert events == [el_ode._p_floor]
         assert traj.status == STATUS_STOPPED
         assert abs(traj.t_final) == pytest.approx(LOGISTIC_FLOOR_T, abs=1e-3)
-    # the exact slope stays above the floor up to t_end; the numerical one
-    # reaches it first at this tolerance, so the run is solved again with
-    # the event, and stops where the run with it always stops
-    events.clear()
-    traj = integrate(LOGISTIC, 0.25 - LOGISTIC_FLOOR_T, 1e-3)
-    assert events == [None, el_ode._p_floor]
-    assert traj.status == STATUS_STOPPED
-    assert traj.t_final > 0.25 - LOGISTIC_FLOOR_T
-    # the dense output is the run's, event and all
-    traj.jet_at(traj.t_final)
-    assert events == [None, el_ode._p_floor, el_ode._p_floor]
+    # the exact slope stays above the floor up to t_end, so the run
+    # completes, though a loose tolerance's numerical slope once reached
+    # the floor first
+    t_end = 0.25 - LOGISTIC_FLOOR_T
+    traj = integrate(LOGISTIC, t_end, 1e-3)
+    assert traj.status == STATUS_COMPLETED and traj.t_final == t_end
+    assert abs(traj.final.p - family_eval_jet(family_of_jet(LOGISTIC), t_end).p) <= 1e-3 * SINGULARITY_FLOOR
 
 
 def test_floor_time_in_closed_form():
@@ -296,8 +240,11 @@ def test_floor_times_where_k_underflows_are_those_of_sigma_0(p, c):
 
 @pytest.mark.parametrize("jet, f", [((0.0, 0.0, 1.0, 1e200, 0.0), "-inf"), ((0.0, 0.0, 1.0, 1e200, 1e200), "nan")])
 def test_jet_where_F_is_not_finite_is_refused_before_the_solve(jet, f, monkeypatch):
-    # F on float64, as the solver computes it; no step can be taken there
-    monkeypatch.setattr(el_ode, "solve_ivp", None)
+    # F on float64, as el_rhs computes it; no step can be taken there
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(el_ode, "flow_sweep", no_step)
     with pytest.raises(ValueError, match=re.escape(f"F = {f} at the initial jet {jet}")):
         integrate(Jet4(*jet), 1.0, 1e-10)
 
@@ -306,8 +253,7 @@ def sweep_runs():
     """Seeded runs of every kind: exact family jets of each class and raw
     jets with |p| down to 1e-8, both directions, t_end up to 300 away,
     tolerances log-uniform over the allowed range, and runs that end just
-    before the logistic's floor time, where the numerical slope reaches the
-    floor first at a loose tolerance."""
+    before the logistic's floor time at a loose tolerance."""
     rng = np.random.default_rng(24)
     for i in range(240):
         if i % 4 < 3:
@@ -326,56 +272,71 @@ def sweep_runs():
 
 
 def outcome(start, t_end, tol, action):
-    """What a run gives, or what it raises, by type and message, and the
-    warnings it shows under the warnings filter action."""
+    """What a run gives, or what it raises, and the warnings it shows under
+    the warnings filter action."""
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter(action)
         try:
-            traj = integrate(start, t_end, tol)
-        except Exception as e:  # any exception, so that both paths are compared on it
-            got = type(e), str(e)
-        else:
-            got = traj.samples, traj.s_values, traj.c_values, traj.status, traj.t_final
+            got = integrate(start, t_end, tol)
+        except Exception as e:  # any exception, so that the test names it
+            got = e
     return got, [(w.category, str(w.message), w.filename, w.lineno) for w in shown]
 
 
+def closed_form_stops(start, t_end):
+    """The times where a run from start toward t_end may stop: each pole
+    stop, POLE_MARGIN before a pole of the exact solution through start (or
+    halfway to a nearer one), and each time its slope meets the floor."""
+    sigma, span, c = schwarzian(start), t_end - start.t, start.q / (2.0 * start.p)
+    if sigma / 2.0 > 0:
+        span = math.copysign(min(abs(span), 2.0 * math.pi / math.sqrt(sigma / 2.0)), span)
+    window = sorted((0.0, span))
+    stops = [start.t + math.copysign(abs(s) - min(POLE_MARGIN, 0.5 * abs(s)), span)
+             for s in generator_solve(sigma, 1.0, c, *window)]
+    return stops + [start.t + s for s in el_ode._floor_times(sigma, start.p, c, *window)]
+
+
 @pytest.mark.parametrize("action", ["error", "default"])
-def test_integrate_is_the_always_watching_run(monkeypatch, action):
-    paths = []
+def test_integrate_is_the_always_watching_run(action):
+    # every run watches the floor and the poles in closed form: it ends at
+    # t_end or at one of those stops, or raises a typed error, and shows no
+    # warning
     for start, t_end, tol in sweep_runs():
-        with monkeypatch.context() as m:
-            events = recording_solve_ivp(m)
-            got = outcome(start, t_end, tol, action)
-            paths.append(tuple(e is not None for e in events))
-        with monkeypatch.context() as m:
-            recording_solve_ivp(m, force=True)
-            want = outcome(start, t_end, tol, action)
-        # repr: the same bits, nan and the sign of zero included
-        assert repr(got) == repr(want), (start, t_end, tol)
-    # each path was taken: no event, the event from the start, and a rerun
-    assert {(False,), (True,), (False, True)} <= set(paths)
+        got, shown = outcome(start, t_end, tol, action)
+        assert shown == [], (start, t_end, tol)
+        if isinstance(got, Exception):
+            assert isinstance(got, (SchwarzLabError, ValueError)), (start, t_end, tol, got)
+        elif got.status == STATUS_COMPLETED:
+            assert got.t_final == t_end
+        else:
+            assert got.t_final in closed_form_stops(start, t_end), (start, t_end, tol)
 
 
-def test_a_run_that_meets_a_floating_point_error_is_solved_again(monkeypatch):
-    # with the gate left out, the logistic run far past its floor time
-    # overflows without the event; that run is dropped, not its warnings
-    # shown, and the run with the event stops at the floor
+def test_a_run_past_the_floor_without_its_stop_fails_typed(monkeypatch):
+    # with the floor stop left out, the logistic run far past its floor
+    # time leaves its series' radius: it raises, and shows no warning
     monkeypatch.setattr(el_ode, "_floor_times", lambda *args: [])
-    events = recording_solve_ivp(monkeypatch)
-    got = outcome(LOGISTIC, 1000.0, 1e-3, "default")
-    assert events == [None, el_ode._p_floor]
-    assert got[1] == []
-    assert got[0][3] == STATUS_STOPPED
-    assert abs(got[0][4]) == pytest.approx(LOGISTIC_FLOOR_T, abs=1.0)
+    got, shown = outcome(LOGISTIC, 1000.0, 1e-3, "default")
+    assert isinstance(got, IntegrationError)
+    assert str(got).startswith("integration failed at t = ")
+    assert shown == []
 
 
 def test_dense_output_matches_samples():
-    traj = integrate(Jet4(0, 0, 1, 0, 2), 1.0, 1e-10)
-    mid = traj.samples[len(traj.samples) // 2]
-    again = traj.jet_at(mid.t)
-    assert np.allclose(again.as_tuple(), mid.as_tuple(), rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):
-        traj.jet_at(2.0)
+    # forward, backward, and stopped at the floor
+    runs = ((Jet4(0, 0, 1, 0, 2), 1.0), (Jet4(1.0, 1.0, 1.0, 0.5, 0.0), 0.0),
+            (family_eval_jet(MobiusFamily(1, 0, 1, 1, -0.5), 0.0), 30.0))
+    for start, t_end in runs:
+        traj = integrate(start, t_end, 1e-10)
+        ts = np.array([s.t for s in traj.samples])
+        for s in traj.samples:
+            assert traj.jet_at(s.t) == s
+        for t in (ts, (ts[1:] + ts[:-1]) / 2.0):
+            read = traj.jet_at(t)
+            for k, tk in enumerate(t.tolist()):
+                assert tuple(float(x[k]) for x in read.as_tuple()) == traj.jet_at(tk).as_tuple()
+        with pytest.raises(ValueError):
+            traj.jet_at(t_end + math.copysign(1.0, t_end - start.t))
 
 
 def test_invalid_tolerance():

@@ -1105,6 +1105,28 @@ def test_panel_tree_walk_samples_once_on_random_bumps(monkeypatch):
     assert calls == [1] * 300
 
 
+def test_a_negative_radius_bump_seeds_its_walk_from_its_sorted_ends(monkeypatch):
+    # BumpFn(c, -r) is BumpFn(c, r): its walk fits its seeded panels in one
+    # call, and gives the same W and schwarzian_integral
+    u = ExprCurve("t", (0.0, 1.0))
+    variation._bump_leaves()
+    calls, fit = [], variation._fit
+
+    def counted(*args):
+        calls.append(0)
+        return fit(*args)
+
+    monkeypatch.setattr(variation, "_fit", counted)
+    sols = []
+    for radius in (0.2, -0.2):
+        calls.clear()
+        sols.append(solve_du(u, BumpFn(0.5, radius, 1.0), 0.0))
+        assert len(calls) == 1, radius
+    ts = np.linspace(0.0, 1.0, 101)
+    assert sols[0]._cumulative(ts).tolist() == sols[1]._cumulative(ts).tolist()
+    assert sols[0].schwarzian_integral == sols[1].schwarzian_integral
+
+
 # a synthetic integrand on the bare bump's walk over [-1, 1]: the profile,
 # with a fault at the nodes of one panel, one the walk reaches or one that
 # only the expected panels hold, below a panel the walk does not bisect
