@@ -6,7 +6,10 @@ from the last coefficients, and reads u, p, q and r at its end by Horner's
 rule (Jorba & Zou, "A software package for the numerical integration of
 ODEs by means of high-order Taylor methods", Experimental Mathematics 14,
 2005).  The samples are the start and the step ends, and the dense output
-between them is each step's own polynomials (Trajectory.jet_at).
+between them is each step's own polynomials (Trajectory.jet_at).  F's
+program is EL_FIELD_TEXT, F in S's own ratio a = q/p, a (4r - 3qa): a
+coefficient costs one series quotient and two products, and no q^3 is
+formed, so a jet whose q^3 would overflow is integrated where F is finite.
 
 Integration stops gracefully (status "stopped-near-singularity") for one of
 two reasons, both in closed form from the exact solution through the
@@ -39,8 +42,8 @@ STATUS_STOPPED = "stopped-near-singularity"
 
 CSV_HEADER = "t,u,p,q,r,S,C"
 
-# F compiled once; el_field()'s F has its shape, so the two share their
-# generated coefficient functions
+# F compiled once, in the ratio q/p; el_field()'s F has its shape, so the
+# two share their generated coefficient functions
 _EL = TaylorProgram(parse(EL_FIELD_TEXT), FLOW_INPUTS)
 
 

@@ -20,7 +20,11 @@ from .symbolics import first_where
 SINGULARITY_EPS = 1e-12
 
 # Expression-text twins of the pointwise functions below, for series work.
-EL_FIELD_TEXT = "-3*q^3/p^2 + 4*q*r/p"
+# EL_FIELD_TEXT is el_rhs's F written in S's own ratio a = q/p, as
+# a*(4r - 3q*a): its program shares a's series, so a coefficient costs one
+# quotient and two products (the text as el_rhs writes it costs two and
+# four), and it forms no q^3, which overflows long before F does.
+EL_FIELD_TEXT = "q/p*(4*r - 3*q*(q/p))"
 SCHWARZIAN_TEXT = "r/p - 3/2*(q/p)^2"
 MERCATOR_TEXT = "(r/p - (q/p)^2)/p"
 

@@ -885,20 +885,6 @@ def _jet5(init):
     return (float(t0), float(u0), float(p0), float(q0), float(r0))
 
 
-def _grow(flow: dict, x) -> None:
-    """Append coefficient x to flow's u, and the coefficients of p, q and r,
-    its termwise derivatives, that x fixes."""
-    u, p, q, r = flow["u"], flow["p"], flow["q"], flow["r"]
-    u.append(x)
-    m = len(u) - 1
-    if m >= 1:
-        p.append(m * u[m])
-    if m >= 2:
-        q.append((m - 1) * p[m - 1])
-    if m >= 3:
-        r.append((m - 2) * q[m - 2])
-
-
 def flow_sweep(program: TaylorProgram, init, order: int) -> tuple:
     """(t0, flow): the coefficients of the formal solution of u'''' = F
     through a jet, where program is F compiled with the inputs
@@ -912,19 +898,28 @@ def flow_sweep(program: TaylorProgram, init, order: int) -> tuple:
     Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002):
     for k = 0 .. order-4, the program's coefficient(k) computes coefficient
     k of each of its steps, once, as run does, and coefficient k+4 of u is
-    set from F's coefficient k.
+    set from F's coefficient k, with the coefficients of p, q and r that it
+    fixes, appended to the lists the program reads as its inputs.
     """
     if order < 4:
         raise ValueError(f"order must be at least 4, got {order}")
     t0, u0, p0, q0, r0 = _jet5(init)
-    flow = {"t": list(TaylorScalar.variable(t0, order).coeffs), "u": [], "p": [], "q": [], "r": []}
-    for x in (u0, p0, q0 / 2.0, r0 / 6.0):
-        _grow(flow, x)
+    # p, q and r are u's termwise derivatives, the jet's terms too: coefficient
+    # m is (m + 1) times coefficient m + 1 of u, p and q (2*(q0/2) is q0 only
+    # where q0/2 is exact), and 1*x is x
+    u = [u0, p0, q0 / 2.0, r0 / 6.0]
+    p = [m * u[m] for m in (1, 2, 3)]
+    q = [m * p[m] for m in (1, 2)]
+    r = [q[1]]
+    flow = {"t": list(TaylorScalar.variable(t0, order).coeffs), "u": u, "p": p, "q": q, "r": r}
     v = program.start(t0, flow, order)
-    f = v[program.out]
+    f, coefficient = v[program.out], program.coefficient
     for k in range(order - 3):
-        program.coefficient(k)(v, t0)
-        _grow(flow, f[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+        coefficient(k)(v, t0)
+        u.append(f[k] / ((k + 1) * (k + 2) * (k + 3) * (k + 4)))
+        p.append((k + 4) * u[-1])
+        q.append((k + 3) * p[-1])
+        r.append((k + 2) * q[-1])
     return t0, flow
 
 

@@ -112,6 +112,16 @@ def test_integrate_pole_stop_exits_2(capsys):
     assert math.pi / 2.0 - 0.1 <= float(last[0]) < math.pi / 2.0
 
 
+def test_integrate_near_the_top_of_the_float_range_stops_before_the_pole(capsys):
+    # u = sqrt(2) 1e150 tan(t/sqrt(2)), S = 1: q^3 would overflow, F does
+    # not, and the run stops POLE_MARGIN before the pole at pi/sqrt(2)
+    code, out, err = run(["integrate", "--jet", "0,0,1e150,0,1e150", "--t-end", "10"], capsys)
+    assert code == 2
+    assert err == ""
+    last = out.splitlines()[-1].split(",")
+    assert abs(float(last[0]) - (math.pi / math.sqrt(2.0) - POLE_MARGIN)) <= 1e-12
+
+
 def test_integrate_far_t_end_stops_before_the_first_pole(capsys):
     # only the nearest pole matters; the window up to t_end holds 3.2e8
     with within_5_s():

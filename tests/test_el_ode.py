@@ -61,6 +61,20 @@ def test_tan_jet_in_few_steps():
     assert len(traj.samples) - 1 < 100
 
 
+def test_a_jet_near_the_top_of_the_float_range_is_integrated():
+    # u = 1e150 tan(t): q^3 would overflow, F and the solution do not
+    tol, scale = 1e-10, 1e150
+    traj = integrate(Jet4(0.0, 0.0, scale, 0.0, 2.0 * scale), 1.0, tol)
+    assert traj.status == STATUS_COMPLETED
+    for t in np.linspace(0.05, 0.95, 10).tolist():
+        u = math.tan(t)
+        p = 1.0 + u * u
+        tan_jet = Jet4(t, u, p, 2.0 * u * p, 2.0 * p * (1.0 + 3.0 * u * u))
+        got = traj.jet_at(t)
+        scaled = Jet4(t, *(x / scale for x in got.as_tuple()[1:]))
+        assert max_rel_error(scaled, tan_jet) <= 10 * tol
+
+
 def test_zero_length_run_has_one_sample():
     start = Jet4(0.5, 0, 1, 0, 2)
     traj = integrate(start, 0.5, 1e-10)
@@ -313,12 +327,13 @@ def test_integrate_is_the_always_watching_run(action):
 
 
 def test_a_run_past_the_floor_without_its_stop_fails_typed(monkeypatch):
-    # with the floor stop left out, the logistic run far past its floor
-    # time leaves its series' radius: it raises, and shows no warning
+    # with the floor stop left out, the logistic run goes far past its floor
+    # time, where |u'| decays below the singularity floor: reading the
+    # samples' S refuses the first such sample, and no warning shows
     monkeypatch.setattr(el_ode, "_floor_times", lambda *args: [])
     got, shown = outcome(LOGISTIC, 1000.0, 1e-3, "default")
-    assert isinstance(got, IntegrationError)
-    assert str(got).startswith("integration failed at t = ")
+    assert type(got) is SingularJetError
+    assert str(got).startswith("|u'| = 8.681e-13 below singularity floor at t = 27.77")
     assert shown == []
 
 
